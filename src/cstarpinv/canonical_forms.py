@@ -12,7 +12,8 @@ block row (resp. column) and the pseudoinverse has the closed forms
 
 where ``D`` and ``G`` are positive and invertible on ``Ran(T)`` and
 ``Ran(T*)``.  All block data live on the flattened complex representation;
-the identities they certify are representation-independent.
+the identities they certify are representation-independent.  The operator's
+own SVD is the cached one of :func:`cstarpinv.pinv.operator_svd`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from ._numeric import spec_norm
 from .errors import InvalidDecompositionError
 from .operators import Projection, adjoint_op, compose
-from .pinv import moore_penrose, pinv_matrix, rank_decision, svd_factor
+from .pinv import moore_penrose, operator_svd, pinv_from_svd, rank_decision, svd_factor
 
 __all__ = [
     "Lemma1Form",
@@ -65,7 +66,7 @@ def lemma1_form(t, rank_tol="auto"):
     The zero operator is allowed and yields an empty ``T1``.
     """
     flat = t.flat
-    f = svd_factor(flat)
+    f = operator_svd(t)
     rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
     u1, u2 = f.U[:, :rank], _orthogonal_complement(f.U[:, :rank])
     v1, v2 = f.V[:, :rank], _orthogonal_complement(f.V[:, :rank])
@@ -92,9 +93,9 @@ def _orthogonal_complement(basis):
     return f.U[:, : n - r]
 
 
-def _codomain_split(flat, rank_tol):
-    f = svd_factor(flat)
-    rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
+def _codomain_split(t, rank_tol):
+    f = operator_svd(t)
+    rank, _, _ = rank_decision(t.flat.shape, f.singular_values, rank_tol)
     return f.U[:, :rank], _orthogonal_complement(f.U[:, :rank]), f, rank
 
 
@@ -139,7 +140,7 @@ def row_block_form(t, p, rank_tol="auto"):
         raise InvalidDecompositionError("projection must act on the domain of t")
     w1, w2 = _projection_bases(p_op)
     flat = t.flat
-    u1, _, _, rank = _codomain_split(flat, rank_tol)
+    u1, _, _, rank = _codomain_split(t, rank_tol)
     t1 = u1.conj().T @ flat @ w1
     t2 = u1.conj().T @ flat @ w2
     d = t1 @ t1.conj().T + t2 @ t2.conj().T
@@ -148,7 +149,7 @@ def row_block_form(t, p, rank_tol="auto"):
     else:
         d_inv = np.linalg.solve(d, np.eye(rank, dtype=complex))
         formula = (w1 @ t1.conj().T + w2 @ t2.conj().T) @ d_inv @ u1.conj().T
-    reference = pinv_matrix(flat, rank_tol).pinv
+    reference = pinv_from_svd(flat.shape, operator_svd(t), rank_tol).pinv
     residual = spec_norm(formula - reference) / (1.0 + spec_norm(reference))
     return RowBlockForm(t1, t2, d, formula, residual, w1, w2, u1)
 
@@ -179,7 +180,7 @@ def col_block_form(t, q, rank_tol="auto"):
         raise InvalidDecompositionError("projection must act on the codomain of t")
     w1, w2 = _projection_bases(q_op)
     flat = t.flat
-    f = svd_factor(flat)
+    f = operator_svd(t)
     rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
     v1 = f.V[:, :rank]
     t1 = w1.conj().T @ flat @ v1
@@ -190,7 +191,7 @@ def col_block_form(t, q, rank_tol="auto"):
     else:
         g_inv = np.linalg.solve(g, np.eye(rank, dtype=complex))
         formula = v1 @ g_inv @ (t1.conj().T @ w1.conj().T + t2.conj().T @ w2.conj().T)
-    reference = pinv_matrix(flat, rank_tol).pinv
+    reference = pinv_from_svd(flat.shape, operator_svd(t), rank_tol).pinv
     residual = spec_norm(formula - reference) / (1.0 + spec_norm(reference))
     return ColBlockForm(t1, t2, g, formula, residual, w1, w2, v1)
 

@@ -22,6 +22,7 @@ from .fileio import (
     read_operator_file,
     write_operator_file,
 )
+from .operators import check_flat_size
 from .pinv import moore_penrose
 from .reverse_order import (
     GENERATOR_KINDS,
@@ -189,12 +190,15 @@ def _parse_int_list(text, field, minimum=1):
 
 
 def run_fuzz(dims, count, seed, signature, kinds, tol, jobs=1, check_fn=None):
-    """Generate and verify ``count`` instances; returns (records, summary).
+    """Generate and verify ``count`` instances; returns (results, summary).
 
-    ``check_fn(t, s, tol)`` may be injected for testing; it must return a
-    certificate.  Instances are evaluated with per-instance seeds
-    ``seed + index`` and aggregated in index order, so results do not depend
-    on ``jobs``.
+    ``results`` holds one ``(record, certificate, T, S)`` per instance; the
+    operators are kept only for inconsistent instances (the ones worth
+    dumping) and are ``None`` otherwise, so memory does not grow with
+    ``count`` beyond the records.  ``check_fn(t, s, tol)`` may be injected
+    for testing; it must return a certificate.  Instances are evaluated with
+    per-instance seeds ``seed + index`` and aggregated in index order, so
+    results do not depend on ``jobs``.
     """
     check = check_fn or check_corollary
     p, m, k = dims
@@ -233,6 +237,8 @@ def run_fuzz(dims, count, seed, signature, kinds, tol, jobs=1, check_fn=None):
             "block_match": block_match,
             "inconsistent": inconsistent,
         }
+        if not inconsistent:
+            t_op = s_op = None
         return record, cert, t_op, s_op
 
     if jobs > 1:
@@ -284,13 +290,16 @@ def _cmd_fuzz(args):
         return EXIT_USAGE
     sig_sizes = _parse_int_list(args.signature, "--signature")
     signature = AlgebraSignature(tuple(sig_sizes))
+    # T is p x m and S is m x k; no intermediate matrix is wider than these.
+    p, m, k = dims
+    check_flat_size(signature, p, m)
+    check_flat_size(signature, m, k)
     kinds = tuple(part for part in args.kinds.split(",") if part)
     unknown = [kind for kind in kinds if kind not in GENERATOR_KINDS]
     if not kinds or unknown:
         print(f"error: unknown kinds {unknown}", file=sys.stderr)
         return EXIT_USAGE
     # Structured kinds need room for both a range and a cokernel.
-    p, m, k = dims
     if ("thm22_only" in kinds or "thm21_only" in kinds) and (p < 2 or m < 2):
         print("error: thm21_only/thm22_only need dims p, m >= 2", file=sys.stderr)
         return EXIT_USAGE

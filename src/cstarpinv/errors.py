@@ -21,6 +21,14 @@ class DegenerateDecompositionError(CstarPinvError):
     """A block decomposition was requested for an operator without one."""
 
 
+class FactorizationError(CstarPinvError):
+    """The Jacobi SVD reached its sweep limit without converging."""
+
+
+class SizeLimitError(CstarPinvError):
+    """An operator's flattening would exceed the supported size."""
+
+
 class GenerationError(CstarPinvError):
     """Structured instance generation exhausted its retry budget."""
 

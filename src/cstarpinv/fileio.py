@@ -15,8 +15,8 @@ import json
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraSignature
-from .errors import OperatorFileError
-from .operators import AdjointableOp
+from .errors import OperatorFileError, SizeLimitError
+from .operators import AdjointableOp, check_flat_size
 from .reverse_order import ConditionCheck, RolCertificate
 
 __all__ = [
@@ -91,6 +91,10 @@ def operator_from_dict(data):
             name,
             f"must be a positive integer, got {value!r}",
         )
+    try:
+        check_flat_size(signature, rows, cols)
+    except SizeLimitError as exc:
+        raise OperatorFileError("rows" if rows >= cols else "cols", str(exc)) from None
 
     entries_raw = data["entries"]
     _expect(isinstance(entries_raw, list), "entries", "expected a list")

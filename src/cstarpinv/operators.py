@@ -7,6 +7,13 @@ algebra block of size ``n``, the ``n^2 x n^2`` matrix ``kron(I_n, a_block)``
 (left multiplication under column-major stacking).  The flattening is a
 *-homomorphism, so the adjoint becomes the conjugate transpose and all
 numerics can run on ordinary complex matrices.
+
+Operators are immutable, and each one also caches, lazily, the SVD of its
+flattening (filled by :func:`cstarpinv.pinv.operator_svd`) and the shared
+pseudoinverse data of the last pair ``(self, S)`` it was the left factor of
+(filled by :mod:`cstarpinv.reverse_order`), so the same matrix is never
+factored twice.  Flattenings are limited to ``MAX_FLAT_SIDE`` rows and
+columns; :func:`check_flat_size` rejects larger ones before allocating.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ import numpy as np
 
 from ._numeric import spec_norm
 from .algebra import AlgebraElement, elem_adjoint, elem_mul
-from .errors import ConformabilityError, StructureError
+from .errors import ConformabilityError, SizeLimitError, StructureError
 from .module_space import ModuleVector
 
 __all__ = [
+    "MAX_FLAT_SIDE",
+    "check_flat_size",
     "AdjointableOp",
     "Projection",
     "apply",
@@ -31,6 +40,23 @@ __all__ = [
     "range_inclusion",
     "projection_onto_range",
 ]
+
+
+# Largest supported number of rows or columns of a flattening; a 2048x2048
+# complex matrix takes 64 MiB, and the Jacobi SVD grows with its cube.
+MAX_FLAT_SIDE = 2048
+
+
+def check_flat_size(signature, rows, cols):
+    """Raise :class:`SizeLimitError` unless a ``rows x cols`` operator over
+    ``signature`` flattens to at most ``MAX_FLAT_SIDE`` per side."""
+    d = signature.dim
+    if max(rows, cols) * d > MAX_FLAT_SIDE:
+        raise SizeLimitError(
+            f"a {rows}x{cols} operator over signature {list(signature.block_sizes)} "
+            f"flattens to {rows * d}x{cols * d}; at most {MAX_FLAT_SIDE} rows and "
+            f"columns are supported"
+        )
 
 
 def _entry_flat(a):
@@ -46,9 +72,14 @@ def _entry_flat(a):
 
 
 class AdjointableOp:
-    """Adjointable operator ``A^cols -> A^rows`` with cached flattening."""
+    """Adjointable operator ``A^cols -> A^rows`` with cached flattening.
 
-    __slots__ = ("signature", "rows", "cols", "entries", "flat")
+    ``_svd`` and ``_pair`` are lazily filled caches (see the module
+    docstring).  Neither changes what the operator is: ``_svd`` is set once,
+    and ``_pair`` is replaced when ``self`` is paired with another ``S``.
+    """
+
+    __slots__ = ("signature", "rows", "cols", "entries", "flat", "_svd", "_pair")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -74,6 +105,8 @@ class AdjointableOp:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_svd", None)
+        object.__setattr__(self, "_pair", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdjointableOp is immutable")
@@ -288,7 +321,7 @@ def range_inclusion(b, c, tol=1e-8):
     Returns ``(verdict, residual)`` with
     ``residual = ||(I - c c^+) b|| / (1 + ||b||)``.
     """
-    from .pinv import pinv_matrix
+    from .pinv import operator_svd, pinv_from_svd
 
     if b.signature != c.signature:
         raise ConformabilityError("signatures differ")
@@ -296,7 +329,7 @@ def range_inclusion(b, c, tol=1e-8):
         raise ConformabilityError("operators must share a codomain")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c_pinv = pinv_matrix(c.flat).pinv
+    c_pinv = pinv_from_svd(c.flat.shape, operator_svd(c)).pinv
     residual = range_inclusion_residual(b.flat, c.flat, c_pinv)
     return residual <= tol, residual
 

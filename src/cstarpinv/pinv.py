@@ -2,7 +2,16 @@
 
 The factorization is a one-sided Jacobi SVD (compiled kernel when available,
 NumPy fallback otherwise) with a fixed rotation schedule and a fixed phase
-convention, so results are reproducible run to run.  The pseudoinverse of a
+convention, so results are reproducible run to run.  A factorization that
+reaches ``MAX_SWEEPS`` with two non-negligible columns still coherent raises
+:class:`FactorizationError` rather than returning unconverged factors.
+
+Operators are immutable, so each one is factored at most once: the SVD of
+its flattening is cached on the operator by :func:`operator_svd` (the
+arrays are read-only) and reused by every later pseudoinverse, range
+inclusion and block decomposition of that operator.  The cache holds only
+the factors; the rank decision is made again on every use, so any
+``rank_tol`` can be applied to the same factors.  The pseudoinverse of a
 module operator is computed on its flattening and mapped back through
 ``unflatten``, which certifies that the numerical result is still
 algebra-linear.
@@ -16,16 +25,18 @@ import numpy as np
 
 from . import _kernels
 from ._numeric import spec_norm
-from .errors import ConformabilityError
+from .errors import ConformabilityError, FactorizationError
 from .operators import AdjointableOp, unflatten
 
 __all__ = [
     "SvdFactors",
     "svd_factor",
+    "operator_svd",
     "rank_decision",
     "PinvResult",
     "MatrixPinv",
     "pinv_matrix",
+    "pinv_from_svd",
     "moore_penrose",
     "ThetaClassReport",
     "theta_class",
@@ -37,6 +48,9 @@ __all__ = [
 SWEEP_TOL = 1e-15
 MAX_SWEEPS = 64
 EPS = 2.0 ** -52
+# Columns of the orthogonalized matrix at or below this share of the largest
+# are numerically zero: their left singular vectors are completed instead.
+NEGLIGIBLE = 64.0 * EPS
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,14 @@ def _jacobi_svd(matrix):
         a *= 2.0 ** (-exponent)
     v = np.eye(n, dtype=complex)
     pair_p, pair_q, offsets = _kernels.rotation_schedule(n)
-    _kernels.orthogonalize_columns(a, v, pair_p, pair_q, offsets, SWEEP_TOL, MAX_SWEEPS)
+    max_sweeps = MAX_SWEEPS
+    sweeps = _kernels.orthogonalize_columns(
+        a, v, pair_p, pair_q, offsets, SWEEP_TOL, max_sweeps
+    )
+    if sweeps >= max_sweeps and _coherent_columns(a):
+        raise FactorizationError(
+            f"Jacobi SVD of a {m}x{n} matrix did not converge in {max_sweeps} sweeps"
+        )
 
     sigma = np.linalg.norm(a, axis=0)
     order = np.argsort(-sigma, kind="stable")
@@ -103,13 +124,42 @@ def _jacobi_svd(matrix):
     v = v[:, order]
 
     smax = sigma[0] if n else 0.0
-    floor = 64.0 * EPS * smax
+    floor = NEGLIGIBLE * smax
     u = np.zeros((m, n), dtype=complex)
     kept = sigma > floor if smax > 0 else np.zeros(n, dtype=bool)
     u[:, kept] = a[:, kept] / sigma[kept]
     for j in np.flatnonzero(~kept):
         u[:, j] = _complete_column(u, j)
     return u, sigma * scale, v
+
+
+def _coherent_columns(a):
+    """Whether two non-negligible columns of ``a`` still fail the sweep test.
+
+    A sweep limit can also be reached by a pair whose smaller column is
+    numerically zero (its squared norm underflows, so every sweep "rotates"
+    it by a pure phase); such a stall leaves the factors intact.
+    """
+    sigma = np.linalg.norm(a, axis=0)
+    live = sigma > NEGLIGIBLE * sigma.max()
+    b, norms = a[:, live], sigma[live]
+    coherence = np.abs(b.conj().T @ b)
+    np.fill_diagonal(coherence, 0.0)
+    return bool(np.any(coherence > SWEEP_TOL * np.outer(norms, norms)))
+
+
+def operator_svd(t):
+    """SVD factors of ``t.flat``, computed once and cached on ``t``.
+
+    The cached arrays are read-only, since every later caller shares them.
+    """
+    f = t._svd
+    if f is None:
+        f = svd_factor(t.flat)
+        for array in (f.U, f.singular_values, f.V):
+            array.flags.writeable = False
+        object.__setattr__(t, "_svd", f)
+    return f
 
 
 def _complete_column(u, j):
@@ -175,17 +225,21 @@ def rank_decision(shape, singular_values, rank_tol="auto"):
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
-    """Moore-Penrose inverse of a complex matrix via the Jacobi SVD.
+    """Moore-Penrose inverse of a complex matrix via the Jacobi SVD."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return pinv_from_svd(matrix.shape, svd_factor(matrix), rank_tol)
+
+
+def pinv_from_svd(shape, f, rank_tol="auto"):
+    """Moore-Penrose inverse of a ``shape`` matrix from its SVD factors ``f``.
 
     Retains singular values above the :func:`rank_decision` cutoff and
     inverts them on the factor bases.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    f = svd_factor(matrix)
     s = f.singular_values
-    rank, cutoff, flag = rank_decision(matrix.shape, s, rank_tol)
+    rank, cutoff, flag = rank_decision(shape, s, rank_tol)
     if rank == 0:
-        inv = np.zeros((matrix.shape[1], matrix.shape[0]), dtype=complex)
+        inv = np.zeros((shape[1], shape[0]), dtype=complex)
     else:
         inv = f.V[:, :rank] @ (f.U[:, :rank].conj().T / s[:rank, None])
     return MatrixPinv(inv, rank, s, cutoff, flag)
@@ -206,14 +260,15 @@ class PinvResult:
 def moore_penrose(t, rank_tol="auto"):
     """Moore-Penrose inverse of a module operator.
 
-    Computed on the flattening, then projected back to the
+    Computed from the cached SVD of the flattening (see
+    :func:`operator_svd`), then projected back to the
     left-multiplication pattern (off-pattern tolerance 1e-8 relative; the
     exact pseudoinverse commutes with the algebra action, so failure signals
     numerical breakdown rather than missing structure).  The four reported
     residuals correspond to the defining equations ``TXT = T``, ``XTX = X``,
     ``(TX)* = TX`` and ``(XT)* = XT``.
     """
-    mp = pinv_matrix(t.flat, rank_tol)
+    mp = pinv_from_svd(t.flat.shape, operator_svd(t), rank_tol)
     x = unflatten(mp.pinv, t.signature, (t.cols, t.rows), tol=1e-8)
     residuals = penrose_residuals(t.flat, x.flat)
     return PinvResult(x, mp.rank, mp.singular_values, residuals, mp.boundary_flag, mp.cutoff)

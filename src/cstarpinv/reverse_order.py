@@ -15,6 +15,14 @@ of them with a consistency bit stating that the verdict groups agree the
 way the equivalences demand.  Instances whose rank decisions are fragile
 carry a boundary flag and are excluded from dichotomy statistics.
 
+All checks of one pair share a single set of flattenings and
+pseudoinverses: it is cached on ``T`` for the last ``S`` it was paired with
+(matched by identity), and built from the operators' cached SVDs, so
+generation's verification, :func:`check_corollary`, the triple checks and
+:func:`block_conditions` factor ``T``, ``S`` and ``TS`` once between them.
+The shared data depend on neither ``tol`` nor anything else, so sharing
+leaves every residual unchanged.
+
 In infinite dimensions these equivalences require the ranges of ``T``,
 ``S`` and ``TS`` to be closed (equivalently, the pseudoinverses to be
 bounded).  Every subspace of a finite-dimensional module is closed, so the
@@ -35,7 +43,14 @@ from .errors import (
     GenerationError,
 )
 from .operators import adjoint_op, range_inclusion_residual, unflatten
-from .pinv import penrose_residuals, pinv_matrix, rank_decision, svd_factor
+from .pinv import (
+    operator_svd,
+    penrose_residuals,
+    pinv_from_svd,
+    pinv_matrix,
+    rank_decision,
+    svd_factor,
+)
 from .sampling import random_operator, random_operator_with_rank
 
 __all__ = [
@@ -76,7 +91,11 @@ class RolCertificate:
 
 
 class _Pair:
-    """Shared flattenings and pseudoinverses for one (T, S) pair."""
+    """Shared flattenings and pseudoinverses for one (T, S) pair.
+
+    Obtain it through :func:`_pair`, which shares one per pair; its arrays
+    are read-only.
+    """
 
     def __init__(self, t_op, s_op):
         if t_op.signature != s_op.signature:
@@ -88,13 +107,25 @@ class _Pair:
         self.t = t_op.flat
         self.s = s_op.flat
         self.ts = self.t @ self.s
-        t_mp = pinv_matrix(self.t)
-        s_mp = pinv_matrix(self.s)
+        t_mp = pinv_from_svd(self.t.shape, operator_svd(t_op))
+        s_mp = pinv_from_svd(self.s.shape, operator_svd(s_op))
         ts_mp = pinv_matrix(self.ts)
         self.tp = t_mp.pinv
         self.sp = s_mp.pinv
         self.tsp = ts_mp.pinv
+        for array in (self.ts, self.tp, self.sp, self.tsp):
+            array.flags.writeable = False
         self.boundary_flag = t_mp.boundary_flag or s_mp.boundary_flag or ts_mp.boundary_flag
+
+
+def _pair(t_op, s_op):
+    """The :class:`_Pair` of ``(t_op, s_op)``, cached on ``t_op`` for the last ``s_op``."""
+    cached = t_op._pair
+    if cached is not None and cached[0] is s_op:
+        return cached[1]
+    pair = _Pair(t_op, s_op)
+    object.__setattr__(t_op, "_pair", (s_op, pair))
+    return pair
 
 
 def _check(residual, tol):
@@ -134,13 +165,13 @@ def _thm22_checks(pair, tol):
 def check_thm21(t_op, s_op, tol=DEFAULT_TOL):
     """Residual/verdict pairs for the three conditions of triple A."""
     _validate_tol(tol)
-    return _thm21_checks(_Pair(t_op, s_op), tol)
+    return _thm21_checks(_pair(t_op, s_op), tol)
 
 
 def check_thm22(t_op, s_op, tol=DEFAULT_TOL):
     """Residual/verdict pairs for the three conditions of triple B."""
     _validate_tol(tol)
-    return _thm22_checks(_Pair(t_op, s_op), tol)
+    return _thm22_checks(_pair(t_op, s_op), tol)
 
 
 def _validate_tol(tol):
@@ -157,7 +188,7 @@ def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
     ``boundary_flag`` is unset.
     """
     _validate_tol(tol)
-    pair = _Pair(t_op, s_op)
+    pair = _pair(t_op, s_op)
     thm21 = _thm21_checks(pair, tol)
     thm22 = _thm22_checks(pair, tol)
 
@@ -252,7 +283,7 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
         raise ConformabilityError("TS undefined")
     s = s_op.flat
     t = t_op.flat
-    fs = svd_factor(s)
+    fs = operator_svd(s_op)
     rank_s, _, flag_s = rank_decision(s.shape, fs.singular_values, "auto")
     if rank_s == 0:
         raise DegenerateDecompositionError("S is zero; no invertible block S1")
@@ -261,7 +292,7 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     vs1 = fs.V[:, :rank_s]
     s1 = us1.conj().T @ s @ vs1
 
-    ft = svd_factor(t)
+    ft = operator_svd(t_op)
     rank_t, _, flag_t = rank_decision(t.shape, ft.singular_values, "auto")
     ut1 = ft.U[:, :rank_t]
     t1 = ut1.conj().T @ t @ us1

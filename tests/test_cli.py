@@ -339,3 +339,74 @@ def test_fuzz_determinism_across_processes(tmp_path, child_env):
     assert payload["format"] == "cstarpinv-fuzz/1"
     assert len(payload["instances"]) == 15
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_cmd_pinv_non_convergence_exit(tmp_path, capsys, monkeypatch):
+    import cstarpinv.pinv as pinv_module
+
+    rng = np.random.default_rng(8)
+    path = write(tmp_path, "T.json", op1(rng.standard_normal((8, 8))))
+    monkeypatch.setattr(pinv_module, "MAX_SWEEPS", 2)
+    code, _, err = run(capsys, "pinv", path)
+    assert code == 2
+    assert "did not converge" in err
+
+
+# Signature [32, 1] has algebra dimension 1025, so two rows flatten to 2050,
+# just over the 2048 limit; without the guard that is a 67 MB matrix.
+OVERSIZED_SIGNATURE = AlgebraSignature((32, 1))
+
+
+def test_flat_size_limit_boundary():
+    from cstarpinv.errors import SizeLimitError
+    from cstarpinv.operators import MAX_FLAT_SIDE, check_flat_size
+
+    assert MAX_FLAT_SIDE == 2048
+    check_flat_size(AlgebraSignature((32,)), 2, 2)  # exactly 2048: allowed
+    with pytest.raises(SizeLimitError, match="2050x1025"):
+        check_flat_size(OVERSIZED_SIGNATURE, 2, 1)
+
+
+def test_cmd_fuzz_rejects_oversized_dims(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_fuzz", lambda *a, **k: pytest.fail("size guard missed"))
+    code, out, err = run(
+        capsys, "fuzz", "--signature", "32,1", "--dims", "2,2,2", "--count", "1", "--seed", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "at most 2048" in err
+
+
+def test_operator_file_rejects_oversized_shape(tmp_path, capsys, monkeypatch):
+    entry = [[[0.0, 0.0]] * 1024, [[1.0, 0.0]]]
+    doc = {"signature": [32, 1], "rows": 2, "cols": 1, "entries": [entry, entry]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(OperatorFileError) as info:
+        read_operator_file(str(path))
+    assert info.value.field == "rows"
+    assert "2050x1025" in str(info.value)
+    monkeypatch.setattr(cli, "moore_penrose", lambda *a, **k: pytest.fail("size guard missed"))
+    code, _, err = run(capsys, "pinv", str(path))
+    assert code == 2
+    assert "at most 2048" in err
+
+
+def test_run_fuzz_keeps_operators_of_inconsistent_instances_only():
+    def broken_check(t, s, tol=1e-8):
+        cert = check_corollary(t, s, tol)
+        if cert.rol_verdict and not cert.boundary_flag:
+            cert = dataclasses.replace(cert, consistent=False)
+        return cert
+
+    results, summary = cli.run_fuzz(
+        (3, 3, 3), 6, 5, AlgebraSignature((1,)), ("generic", "rol_holds"), 1e-8,
+        check_fn=broken_check,
+    )
+    assert 0 < summary["inconsistent"] < 6
+    for record, _, t_op, s_op in results:
+        if record["inconsistent"]:
+            assert isinstance(t_op, AdjointableOp) and isinstance(s_op, AdjointableOp)
+        else:
+            assert t_op is None and s_op is None

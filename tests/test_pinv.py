@@ -220,3 +220,67 @@ def test_penrose_residuals_normalization(rng):
     x = np.linalg.pinv(t)
     residuals = penrose_residuals(t, x)
     assert all(r <= 1e-12 for r in residuals)
+
+
+def test_jacobi_non_convergence_raises(monkeypatch, rng):
+    import cstarpinv.pinv as pinv_module
+    from cstarpinv.errors import FactorizationError
+
+    monkeypatch.setattr(pinv_module, "MAX_SWEEPS", 2)
+    with pytest.raises(FactorizationError, match="did not converge in 2 sweeps"):
+        svd_factor(random_complex(rng, 8, 8))
+    # the identity needs no rotation, so one sweep certifies it
+    np.testing.assert_array_equal(svd_factor(np.eye(8)).singular_values, np.ones(8))
+
+
+def test_operator_svd_is_cached_and_read_only(rng):
+    from cstarpinv.pinv import operator_svd
+
+    t = random_operator(SIG12, 3, 2, rng)
+    f = operator_svd(t)
+    assert operator_svd(t) is f
+    for array in (f.U, f.singular_values, f.V):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    fresh = svd_factor(t.flat)
+    for cached, direct in zip((f.U, f.singular_values, f.V), (fresh.U, fresh.singular_values, fresh.V)):
+        np.testing.assert_array_equal(cached, direct)
+
+
+def test_moore_penrose_rank_tol_on_cached_factors():
+    # singular values 1, 1e-5, 1: rank 3 at the auto cutoff, 2 at 1e-3
+    matrix = np.diag([1.0, 1e-5, 1.0]) + 0j
+    t = op1(matrix)
+    first = moore_penrose(t)
+    second = moore_penrose(t, 1e-3)
+    fresh = moore_penrose(op1(matrix), 1e-3)
+    assert (first.rank, second.rank) == (3, 2)
+    np.testing.assert_array_equal(second.pseudoinverse.flat, fresh.pseudoinverse.flat)
+    np.testing.assert_array_equal(second.singular_values, fresh.singular_values)
+    assert (second.rank, second.cutoff, second.boundary_flag, second.penrose_residuals) == (
+        fresh.rank,
+        fresh.cutoff,
+        fresh.boundary_flag,
+        fresh.penrose_residuals,
+    )
+
+
+def test_sweep_limit_on_negligible_column_is_not_an_error(monkeypatch):
+    # the second column's squared norm underflows to zero, so every sweep
+    # "rotates" it by a pure phase and the kernel stops at the sweep limit
+    import cstarpinv._kernels as kernels
+    import cstarpinv.pinv as pinv_module
+
+    sweeps = []
+    original = kernels.orthogonalize_columns
+
+    def recording(*args):
+        sweeps.append(original(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(kernels, "orthogonalize_columns", recording)
+    tiny = 7.25651531e-244
+    m = np.array([[1.0, tiny], [tiny, tiny]], dtype=complex)
+    f = svd_factor(m)
+    assert sweeps == [pinv_module.MAX_SWEEPS]
+    np.testing.assert_allclose(f.U @ np.diag(f.singular_values) @ f.V.conj().T, m, atol=1e-15)
