@@ -11,9 +11,13 @@ block row (resp. column) and the pseudoinverse has the closed forms
     [[G^-1 T1*, G^-1 T2*], [0, 0]]     with G = T1* T1 + T2* T2,
 
 where ``D`` and ``G`` are positive and invertible on ``Ran(T)`` and
-``Ran(T*)``.  All block data live on the flattened complex representation;
-the identities they certify are representation-independent.  The operator's
-own SVD is the cached one of :func:`cstarpinv.pinv.operator_svd`.
+``Ran(T*)``.  All block data live on the flattened complex representation
+(see :attr:`AdjointableOp.flat`); the identities they certify are
+representation-independent.  The operator's singular bases in flattened
+coordinates are assembled from its cached per-block SVDs
+(:func:`cstarpinv.pinv.operator_svd`), so the flattening itself is never
+factored, and its rank is the one :func:`cstarpinv.pinv.moore_penrose`
+decides.
 """
 
 from __future__ import annotations
@@ -24,8 +28,16 @@ import numpy as np
 
 from ._numeric import spec_norm
 from .errors import InvalidDecompositionError
-from .operators import Projection, adjoint_op, compose
-from .pinv import moore_penrose, operator_svd, pinv_from_svd, rank_decision, svd_factor
+from .operators import Projection, adjoint_op, compose, flat_index
+from .pinv import (
+    SvdFactors,
+    moore_penrose,
+    operator_svd,
+    orthogonal_complement,
+    pinv_from_svd,
+    rank_decision,
+    svd_factor,
+)
 
 __all__ = [
     "Lemma1Form",
@@ -66,10 +78,10 @@ def lemma1_form(t, rank_tol="auto"):
     The zero operator is allowed and yields an empty ``T1``.
     """
     flat = t.flat
-    f = operator_svd(t)
+    f = _flat_svd(t)
     rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
-    u1, u2 = f.U[:, :rank], _orthogonal_complement(f.U[:, :rank])
-    v1, v2 = f.V[:, :rank], _orthogonal_complement(f.V[:, :rank])
+    u1, u2 = f.U[:, :rank], orthogonal_complement(f.U[:, :rank])
+    v1, v2 = f.V[:, :rank], orthogonal_complement(f.V[:, :rank])
     t1 = u1.conj().T @ flat @ v1
     transformed = np.concatenate([u1, u2], axis=1).conj().T @ flat @ np.concatenate(
         [v1, v2], axis=1
@@ -80,37 +92,49 @@ def lemma1_form(t, rank_tol="auto"):
     return Lemma1Form(v1, v2, u1, u2, t1, residual)
 
 
-def _orthogonal_complement(basis):
-    """Orthonormal basis of the complement of ``Ran(basis)`` (basis has
-    orthonormal columns)."""
-    n, r = basis.shape
-    if r == 0:
-        return np.eye(n, dtype=complex)
-    if r == n:
-        return np.zeros((n, 0), dtype=complex)
-    proj = np.eye(n, dtype=complex) - basis @ basis.conj().T
-    f = svd_factor(proj)
-    return f.U[:, : n - r]
+def _flat_svd(t):
+    """SVD of ``t.flat`` assembled from the cached per-block SVDs.
+
+    The flattening is ``(+)_i kron(I_{n_i}, T_i)`` under the index map of
+    :func:`cstarpinv.operators.flat_index`, so every singular triplet of
+    ``T_i`` appears ``n_i`` times, once per copy.  The map keeps the order
+    of each block's rows and columns, so ``V``'s phase convention carries
+    over.
+    """
+    rows, cols = t.flat_shape
+    row_index = flat_index(t.signature, t.rows)
+    col_index = flat_index(t.signature, t.cols)
+    us, ss, vs = [], [], []
+    for f, row_copies, col_copies in zip(operator_svd(t), row_index, col_index):
+        for r, c in zip(row_copies, col_copies):
+            u = np.zeros((rows, f.U.shape[1]), dtype=complex)
+            v = np.zeros((cols, f.V.shape[1]), dtype=complex)
+            u[r] = f.U
+            v[c] = f.V
+            us.append(u)
+            vs.append(v)
+            ss.append(f.singular_values)
+    s = np.concatenate(ss)
+    order = np.argsort(-s, kind="stable")
+    return SvdFactors(np.hstack(us)[:, order], s[order], np.hstack(vs)[:, order])
 
 
 def _codomain_split(t, rank_tol):
-    f = operator_svd(t)
-    rank, _, _ = rank_decision(t.flat.shape, f.singular_values, rank_tol)
-    return f.U[:, :rank], _orthogonal_complement(f.U[:, :rank]), f, rank
+    f = _flat_svd(t)
+    rank, _, _ = rank_decision(t.flat_shape, f.singular_values, rank_tol)
+    return f.U[:, :rank], orthogonal_complement(f.U[:, :rank]), f, rank
 
 
-def _projection_bases(p_op, tol=1e-8):
-    """Orthonormal bases of the range and kernel of a projection."""
-    p = p_op.flat
-    scale = 1.0 + spec_norm(p)
-    if spec_norm(p - p.conj().T) > tol * scale:
-        raise InvalidDecompositionError("projection is not self-adjoint")
-    if spec_norm(p @ p - p) > tol * scale:
-        raise InvalidDecompositionError("projection is not idempotent")
+def _projection_bases(p_op):
+    """Orthonormal bases of the range and kernel of a projection.
+
+    ``p_op`` is validated as a :class:`Projection` (at 1e-8).
+    """
+    p = Projection(p_op).op.flat
     f = svd_factor(p)
     # Spectrum of a projection is {0, 1}; 1/2 separates the clusters.
     rank = int(np.count_nonzero(f.singular_values > 0.5))
-    return f.U[:, :rank], _orthogonal_complement(f.U[:, :rank])
+    return f.U[:, :rank], orthogonal_complement(f.U[:, :rank])
 
 
 @dataclass(frozen=True)
@@ -140,7 +164,7 @@ def row_block_form(t, p, rank_tol="auto"):
         raise InvalidDecompositionError("projection must act on the domain of t")
     w1, w2 = _projection_bases(p_op)
     flat = t.flat
-    u1, _, _, rank = _codomain_split(t, rank_tol)
+    u1, _, f, rank = _codomain_split(t, rank_tol)
     t1 = u1.conj().T @ flat @ w1
     t2 = u1.conj().T @ flat @ w2
     d = t1 @ t1.conj().T + t2 @ t2.conj().T
@@ -149,7 +173,7 @@ def row_block_form(t, p, rank_tol="auto"):
     else:
         d_inv = np.linalg.solve(d, np.eye(rank, dtype=complex))
         formula = (w1 @ t1.conj().T + w2 @ t2.conj().T) @ d_inv @ u1.conj().T
-    reference = pinv_from_svd(flat.shape, operator_svd(t), rank_tol).pinv
+    reference = pinv_from_svd(flat.shape, f, rank_tol).pinv
     residual = spec_norm(formula - reference) / (1.0 + spec_norm(reference))
     return RowBlockForm(t1, t2, d, formula, residual, w1, w2, u1)
 
@@ -180,7 +204,7 @@ def col_block_form(t, q, rank_tol="auto"):
         raise InvalidDecompositionError("projection must act on the codomain of t")
     w1, w2 = _projection_bases(q_op)
     flat = t.flat
-    f = operator_svd(t)
+    f = _flat_svd(t)
     rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
     v1 = f.V[:, :rank]
     t1 = w1.conj().T @ flat @ v1
@@ -191,7 +215,7 @@ def col_block_form(t, q, rank_tol="auto"):
     else:
         g_inv = np.linalg.solve(g, np.eye(rank, dtype=complex))
         formula = v1 @ g_inv @ (t1.conj().T @ w1.conj().T + t2.conj().T @ w2.conj().T)
-    reference = pinv_from_svd(flat.shape, operator_svd(t), rank_tol).pinv
+    reference = pinv_from_svd(flat.shape, f, rank_tol).pinv
     residual = spec_norm(formula - reference) / (1.0 + spec_norm(reference))
     return ColBlockForm(t1, t2, g, formula, residual, w1, w2, v1)
 

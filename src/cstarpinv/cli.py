@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
+from ._numeric import positive_finite
 from .algebra import AlgebraSignature
 from .errors import CstarPinvError, OperatorFileError
 from .fileio import (
@@ -114,8 +115,10 @@ def _parse_rank_tol(text):
         value = float(text)
     except ValueError:
         raise OperatorFileError("--tol", f"expected a float or 'auto', got {text!r}")
-    if value <= 0:
-        raise OperatorFileError("--tol", "rank tolerance must be positive")
+    if not positive_finite(value):
+        raise OperatorFileError(
+            "--tol", f"rank tolerance must be positive and finite, got {text!r}"
+        )
     return value
 
 
@@ -143,8 +146,8 @@ def _cmd_pinv(args):
 def _cmd_check(args):
     t_op = read_operator_file(args.fileT)
     s_op = read_operator_file(args.fileS)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not positive_finite(args.tol):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     cert = check_corollary(t_op, s_op, args.tol)
     digests = {"T": file_digest(args.fileT), "S": file_digest(args.fileS)}
@@ -281,8 +284,8 @@ def _cmd_fuzz(args):
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not positive_finite(args.tol):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     dims = _parse_int_list(args.dims, "--dims")
     if len(dims) != 3:

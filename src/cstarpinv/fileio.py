@@ -3,6 +3,8 @@
 Operator files are JSON with explicit ``[re, im]`` pairs, one flat row-major
 pair list per algebra block, so files are diffable and round-trip exactly
 (Python serializes binary64 floats with shortest-round-trip decimals).
+Entries are read into and written from the operator's per-block matrices
+directly.
 Certificates render a :class:`RolCertificate` together with the tool
 version, the tolerance used, and SHA-256 digests of the inputs.
 """
@@ -14,7 +16,7 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSignature
+from .algebra import AlgebraSignature
 from .errors import OperatorFileError, SizeLimitError
 from .operators import AdjointableOp, check_flat_size
 from .reverse_order import ConditionCheck, RolCertificate
@@ -40,14 +42,20 @@ def dumps_canonical(payload):
 
 
 def operator_to_dict(op):
-    entries = []
-    for row in op.entries:
-        for e in row:
-            blocks = []
-            for block in e.blocks:
-                flat = block.reshape(-1)  # row-major
-                blocks.append([[float(z.real), float(z.imag)] for z in flat])
-            entries.append(blocks)
+    # pairs[i][r, c] lists the [re, im] pairs of block i of entry (r, c), row-major.
+    pairs = [
+        np.stack([b.real, b.imag], axis=-1)
+        .reshape(op.rows, n, op.cols, n, 2)
+        .transpose(0, 2, 1, 3, 4)
+        .reshape(op.rows, op.cols, n * n, 2)
+        .tolist()
+        for b, n in zip(op.blocks, op.signature.block_sizes)
+    ]
+    entries = [
+        [block_pairs[r][c] for block_pairs in pairs]
+        for r in range(op.rows)
+        for c in range(op.cols)
+    ]
     return {
         "signature": list(op.signature.block_sizes),
         "rows": op.rows,
@@ -104,7 +112,8 @@ def operator_from_dict(data):
         f"expected rows*cols = {rows * cols} entries, got {len(entries_raw)}",
     )
 
-    parsed = []
+    sizes = signature.block_sizes
+    blocks = [np.zeros((rows * n, cols * n), dtype=complex) for n in sizes]
     for idx, entry in enumerate(entries_raw):
         field = f"entries[{idx}]"
         _expect(
@@ -113,8 +122,8 @@ def operator_from_dict(data):
             f"expected {len(signature.block_sizes)} blocks, got "
             f"{len(entry) if isinstance(entry, list) else type(entry).__name__}",
         )
-        blocks = []
-        for b, (n, pairs) in enumerate(zip(signature.block_sizes, entry)):
+        r, c = divmod(idx, cols)
+        for b, (n, pairs) in enumerate(zip(sizes, entry)):
             bfield = f"{field}.blocks[{b}]"
             _expect(
                 isinstance(pairs, list) and len(pairs) == n * n,
@@ -132,18 +141,18 @@ def operator_from_dict(data):
                     pfield,
                     "expected a [re, im] pair of numbers",
                 )
-                re, im = float(pair[0]), float(pair[1])
+                try:
+                    re, im = float(pair[0]), float(pair[1])
+                except OverflowError:
+                    re = im = np.inf
                 _expect(
                     np.isfinite(re) and np.isfinite(im),
                     pfield,
                     "entries must be finite",
                 )
                 values.append(complex(re, im))
-            blocks.append(np.array(values, dtype=complex).reshape(n, n))
-        parsed.append(AlgebraElement(signature, blocks))
-
-    entry_rows = [parsed[i * cols : (i + 1) * cols] for i in range(rows)]
-    return AdjointableOp(entry_rows)
+            blocks[b][r * n : (r + 1) * n, c * n : (c + 1) * n] = np.reshape(values, (n, n))
+    return AdjointableOp.from_blocks(signature, blocks)
 
 
 def operator_json(op):
@@ -175,7 +184,11 @@ def read_operator_file(path):
             data = json.load(fh)
     except OSError as exc:
         raise OperatorFileError("file", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise OperatorFileError("file", f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise OperatorFileError("file", f"{path} nests JSON too deeply") from None
+    except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
         raise OperatorFileError("file", f"{path} is not valid JSON: {exc}") from exc
     return operator_from_dict(data)
 

@@ -1,15 +1,28 @@
 """Adjointable operators between free Hilbert modules.
 
-An operator from ``A^k`` to ``A^m`` is an ``m x k`` matrix of algebra
-elements acting by left multiplication.  Every operator caches a faithful
-complex flattening at construction: algebra entry ``a`` contributes, per
-algebra block of size ``n``, the ``n^2 x n^2`` matrix ``kron(I_n, a_block)``
-(left multiplication under column-major stacking).  The flattening is a
-*-homomorphism, so the adjoint becomes the conjugate transpose and all
-numerics can run on ordinary complex matrices.
+An operator from ``A^k`` to ``A^m`` over ``A = M_{n1}(C) (+) ... (+) M_{nr}(C)``
+is exactly one complex matrix ``T_i`` of shape ``(m*n_i) x (k*n_i)`` per
+algebra block (the structure theorem for finite-dimensional C*-algebras):
+entry ``(r, c)`` of the operator contributes its block ``i`` at rows
+``r*n_i ...`` and columns ``c*n_i ...`` of ``T_i``.  Operators store these
+matrices, read-only, in ``blocks``; products, adjoints, norms and all
+numerics run block by block, and an operator norm is the largest norm over
+blocks.
 
-Operators are immutable, and each one also caches, lazily, the SVD of its
-flattening (filled by :func:`cstarpinv.pinv.operator_svd`) and the shared
+Two derived views are built on demand and never on the hot paths:
+
+* ``flat``, the faithful complex flattening in which algebra entry ``a``
+  contributes, per algebra block of size ``n``, the ``n^2 x n^2`` matrix
+  ``kron(I_n, a_block)`` (left multiplication under column-major stacking).
+  Up to a fixed permutation of rows and columns it is ``(+)_i kron(I_{n_i},
+  T_i)``, so its spectrum is each block's spectrum repeated ``n_i`` times.
+* ``entries``, the ``rows x cols`` grid of :class:`AlgebraElement` objects.
+
+:func:`unflatten` imports a foreign flattened matrix and certifies that it
+is algebra-linear.
+
+Operators are immutable, and each one also caches, lazily, the SVDs of its
+blocks (filled by :func:`cstarpinv.pinv.operator_svd`) and the shared
 pseudoinverse data of the last pair ``(self, S)`` it was the left factor of
 (filled by :mod:`cstarpinv.reverse_order`), so the same matrix is never
 factored twice.  Flattenings are limited to ``MAX_FLAT_SIDE`` rows and
@@ -20,9 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import spec_norm
-from .algebra import AlgebraElement, elem_adjoint, elem_mul
-from .errors import ConformabilityError, SizeLimitError, StructureError
+from ._numeric import block_norm, check_tolerance, rel_residual, spec_norm
+from .algebra import AlgebraElement, AlgebraSignature
+from .errors import ConformabilityError, InvalidDecompositionError, SizeLimitError, StructureError
 from .module_space import ModuleVector
 
 __all__ = [
@@ -59,52 +72,47 @@ def check_flat_size(signature, rows, cols):
         )
 
 
-def _entry_flat(a):
-    """d x d complex matrix of left multiplication by algebra element a."""
-    sizes = a.signature.block_sizes
-    d = a.signature.dim
-    out = np.zeros((d, d), dtype=complex)
-    pos = 0
-    for n, block in zip(sizes, a.blocks):
-        out[pos : pos + n * n, pos : pos + n * n] = np.kron(np.eye(n), block)
-        pos += n * n
+def _freeze(matrix):
+    out = np.array(matrix, dtype=complex)
+    out.flags.writeable = False
     return out
 
 
 class AdjointableOp:
-    """Adjointable operator ``A^cols -> A^rows`` with cached flattening.
+    """Adjointable operator ``A^cols -> A^rows``, one matrix per algebra block.
 
-    ``_svd`` and ``_pair`` are lazily filled caches (see the module
-    docstring).  Neither changes what the operator is: ``_svd`` is set once,
-    and ``_pair`` is replaced when ``self`` is paired with another ``S``.
+    ``AdjointableOp(entries)`` takes a ``rows x cols`` grid of
+    :class:`AlgebraElement` objects; :meth:`from_blocks` takes the per-block
+    matrices directly.  ``_svd`` and ``_pair`` are lazily filled caches (see
+    the module docstring).  Neither changes what the operator is: ``_svd`` is
+    set once, and ``_pair`` is replaced when ``self`` is paired with another
+    ``S``.
     """
 
-    __slots__ = ("signature", "rows", "cols", "entries", "flat", "_svd", "_pair")
+    __slots__ = ("signature", "rows", "cols", "blocks", "_svd", "_pair")
 
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
+    def __init__(self, entries=None, *, signature=None, blocks=None):
+        if entries is not None:
+            signature, blocks = _blocks_from_entries(entries)
+        elif signature is None or blocks is None:
+            raise ConformabilityError("operators need entries, or a signature and blocks")
+        sizes = signature.block_sizes
+        blocks = tuple(_freeze(b) for b in blocks)
+        if len(blocks) != len(sizes) or any(b.ndim != 2 for b in blocks):
+            raise ConformabilityError(f"expected {len(sizes)} block matrices")
+        rows, cols = blocks[0].shape[0] // sizes[0], blocks[0].shape[1] // sizes[0]
+        if rows < 1 or cols < 1:
             raise ConformabilityError("operators need at least one entry")
-        signature = entries[0][0].signature
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ConformabilityError("ragged entry matrix")
-            for e in row:
-                if e.signature != signature:
-                    raise ConformabilityError("entries carry different signatures")
-        rows = len(entries)
-        d = signature.dim
-        flat = np.zeros((rows * d, cols * d), dtype=complex)
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                flat[i * d : (i + 1) * d, j * d : (j + 1) * d] = _entry_flat(e)
-        flat.flags.writeable = False
+        for b, n in zip(blocks, sizes):
+            if b.shape != (rows * n, cols * n):
+                raise ConformabilityError(
+                    f"block of shape {b.shape} does not fit a {rows}x{cols} operator "
+                    f"over block size {n}"
+                )
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_svd", None)
         object.__setattr__(self, "_pair", None)
 
@@ -112,15 +120,34 @@ class AdjointableOp:
         raise AttributeError("AdjointableOp is immutable")
 
     @classmethod
+    def from_blocks(cls, signature, blocks):
+        """The operator whose block ``i`` is ``blocks[i]`` (copied and frozen)."""
+        return cls(signature=signature, blocks=blocks)
+
+    @property
+    def flat_shape(self):
+        """Shape of the flattening, without building it."""
+        d = self.signature.dim
+        return (self.rows * d, self.cols * d)
+
+    @property
+    def flat(self):
+        """The complex flattening (built on each access, read-only)."""
+        return _flat_matrix(self)
+
+    @property
+    def entries(self):
+        """The ``rows x cols`` grid of algebra elements (built on each access)."""
+        return _entry_grid(self)
+
+    @classmethod
     def zero(cls, signature, rows, cols):
-        z = AlgebraElement.zero(signature)
-        return cls([[z] * cols for _ in range(rows)])
+        sizes = signature.block_sizes
+        return cls.from_blocks(signature, [np.zeros((rows * n, cols * n)) for n in sizes])
 
     @classmethod
     def identity(cls, signature, n):
-        z = AlgebraElement.zero(signature)
-        e = AlgebraElement.identity(signature)
-        return cls([[e if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_blocks(signature, [np.eye(n * size) for size in signature.block_sizes])
 
     @classmethod
     def from_complex_matrix(cls, matrix, signature=None):
@@ -129,40 +156,28 @@ class AdjointableOp:
         Each scalar entry becomes a 1x1 algebra block; this is the bridge
         between ordinary matrices and the module-operator interface.
         """
-        from .algebra import AlgebraSignature
-
         if signature is None:
             signature = AlgebraSignature((1,))
         if signature.block_sizes != (1,):
             raise ConformabilityError("from_complex_matrix requires signature [1]")
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        return cls(
-            [
-                [AlgebraElement(signature, [[[v]]]) for v in row]
-                for row in matrix
-            ]
-        )
+        return cls.from_blocks(signature, [np.atleast_2d(np.asarray(matrix, dtype=complex))])
 
     def __add__(self, other):
         _check_same_shape(self, other)
-        return AdjointableOp(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        return AdjointableOp.from_blocks(
+            self.signature, [a + b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __sub__(self, other):
         _check_same_shape(self, other)
-        return AdjointableOp(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        return AdjointableOp.from_blocks(
+            self.signature, [a - b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def scale(self, scalar):
-        return AdjointableOp([[scalar * e for e in row] for row in self.entries])
+        return AdjointableOp.from_blocks(
+            self.signature, [complex(scalar) * b for b in self.blocks]
+        )
 
     def adjoint(self):
         return adjoint_op(self)
@@ -180,6 +195,68 @@ class AdjointableOp:
         )
 
 
+def _blocks_from_entries(entries):
+    """Signature and per-block matrices of a grid of algebra elements."""
+    entries = tuple(tuple(row) for row in entries)
+    if not entries or not entries[0]:
+        raise ConformabilityError("operators need at least one entry")
+    signature = entries[0][0].signature
+    cols = len(entries[0])
+    for row in entries:
+        if len(row) != cols:
+            raise ConformabilityError("ragged entry matrix")
+        for e in row:
+            if e.signature != signature:
+                raise ConformabilityError("entries carry different signatures")
+    blocks = [
+        np.block([[e.blocks[i] for e in row] for row in entries])
+        for i in range(len(signature.block_sizes))
+    ]
+    return signature, blocks
+
+
+def _entry_grid(t):
+    return tuple(
+        tuple(
+            AlgebraElement(
+                t.signature,
+                [
+                    b[r * n : (r + 1) * n, c * n : (c + 1) * n]
+                    for b, n in zip(t.blocks, t.signature.block_sizes)
+                ],
+            )
+            for c in range(t.cols)
+        )
+        for r in range(t.rows)
+    )
+
+
+def flat_index(signature, count):
+    """Where each block's copies sit in a flattening with ``count`` entry rows.
+
+    Returns, per algebra block ``i``, one index array per copy ``q`` of
+    ``kron(I_{n_i}, T_i)``: element ``r*n_i + a`` of copy ``q`` is flattened
+    row ``r*d + offset_i + q*n_i + a``.  The same map serves the columns.
+    """
+    d = signature.dim
+    starts = np.arange(count)[:, None] * d
+    return [
+        [(starts + offset + q * n + np.arange(n)).ravel() for q in range(n)]
+        for n, offset in zip(signature.block_sizes, signature.block_offsets)
+    ]
+
+
+def _flat_matrix(t):
+    flat = np.zeros(t.flat_shape, dtype=complex)
+    row_index = flat_index(t.signature, t.rows)
+    col_index = flat_index(t.signature, t.cols)
+    for block, rows, cols in zip(t.blocks, row_index, col_index):
+        for r, c in zip(rows, cols):
+            flat[np.ix_(r, c)] = block
+    flat.flags.writeable = False
+    return flat
+
+
 def _check_same_shape(t, s):
     if t.signature != s.signature:
         raise ConformabilityError("signatures differ")
@@ -195,13 +272,10 @@ class Projection:
     __slots__ = ("op",)
 
     def __init__(self, op, tol=1e-8):
-        from .errors import InvalidDecompositionError
-
-        p = op.flat
-        scale = 1.0 + spec_norm(p)
-        if spec_norm(p - p.conj().T) > tol * scale:
+        scale = 1.0 + op_norm(op)
+        if block_norm([p - p.conj().T for p in op.blocks]) > tol * scale:
             raise InvalidDecompositionError("operator is not self-adjoint")
-        if spec_norm(p @ p - p) > tol * scale:
+        if block_norm([p @ p - p for p in op.blocks]) > tol * scale:
             raise InvalidDecompositionError("operator is not idempotent")
         object.__setattr__(self, "op", op)
 
@@ -215,23 +289,24 @@ def apply(t, x):
         raise ConformabilityError("signatures differ")
     if t.cols != len(x):
         raise ConformabilityError(f"operator has {t.cols} columns, vector length {len(x)}")
-    comps = []
-    for row in t.entries:
-        acc = AlgebraElement.zero(t.signature)
-        for e, c in zip(row, x.components):
-            acc = acc + elem_mul(e, c)
-        comps.append(acc)
-    return ModuleVector(comps)
+    images = [
+        block @ np.vstack([comp.blocks[i] for comp in x.components])
+        for i, block in enumerate(t.blocks)
+    ]
+    sizes = t.signature.block_sizes
+    return ModuleVector(
+        [
+            AlgebraElement(
+                t.signature, [y[r * n : (r + 1) * n] for y, n in zip(images, sizes)]
+            )
+            for r in range(t.rows)
+        ]
+    )
 
 
 def adjoint_op(t):
     """The adjoint: transposed entries, each conjugate-transposed."""
-    return AdjointableOp(
-        [
-            [elem_adjoint(t.entries[i][j]) for i in range(t.rows)]
-            for j in range(t.cols)
-        ]
-    )
+    return AdjointableOp.from_blocks(t.signature, [b.conj().T for b in t.blocks])
 
 
 def compose(t, s):
@@ -242,20 +317,11 @@ def compose(t, s):
         raise ConformabilityError(
             f"inner dimensions differ: {t.rows}x{t.cols} times {s.rows}x{s.cols}"
         )
-    rows = []
-    for i in range(t.rows):
-        row = []
-        for j in range(s.cols):
-            acc = AlgebraElement.zero(t.signature)
-            for l in range(t.cols):
-                acc = acc + elem_mul(t.entries[i][l], s.entries[l][j])
-            row.append(acc)
-        rows.append(row)
-    return AdjointableOp(rows)
+    return AdjointableOp.from_blocks(t.signature, [a @ b for a, b in zip(t.blocks, s.blocks)])
 
 
 def flatten(t):
-    """The cached complex flattening (read-only view)."""
+    """The complex flattening (read-only)."""
     return t.flat
 
 
@@ -283,30 +349,20 @@ def _unflatten_with_mass(matrix, signature, shape):
         raise ConformabilityError(
             f"expected shape {(rows * d, cols * d)}, got {matrix.shape}"
         )
-    entries = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            cell = matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            blocks = []
-            pos = 0
-            for n in signature.block_sizes:
-                sub = cell[pos : pos + n * n, pos : pos + n * n]
-                acc = np.zeros((n, n), dtype=complex)
-                for r in range(n):
-                    acc += sub[r * n : (r + 1) * n, r * n : (r + 1) * n]
-                blocks.append(acc / n)
-                pos += n * n
-            row.append(AlgebraElement(signature, blocks))
-        entries.append(row)
-    op = AdjointableOp(entries)
+    blocks = [
+        sum(matrix[np.ix_(r, c)] for r, c in zip(row_copies, col_copies)) / n
+        for n, row_copies, col_copies in zip(
+            signature.block_sizes, flat_index(signature, rows), flat_index(signature, cols)
+        )
+    ]
+    op = AdjointableOp.from_blocks(signature, blocks)
     off = spec_norm(matrix - op.flat)
     return op, off
 
 
 def op_norm(t):
-    """Operator norm, i.e. the spectral norm of the flattening."""
-    return spec_norm(t.flat)
+    """Operator norm: the largest spectral norm over blocks."""
+    return block_norm(t.blocks)
 
 
 def off_pattern_mass(matrix, signature, shape):
@@ -321,23 +377,24 @@ def range_inclusion(b, c, tol=1e-8):
     Returns ``(verdict, residual)`` with
     ``residual = ||(I - c c^+) b|| / (1 + ||b||)``.
     """
-    from .pinv import operator_svd, pinv_from_svd
+    from .pinv import operator_pinv
 
     if b.signature != c.signature:
         raise ConformabilityError("signatures differ")
     if b.rows != c.rows:
         raise ConformabilityError("operators must share a codomain")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    c_pinv = pinv_from_svd(c.flat.shape, operator_svd(c)).pinv
-    residual = range_inclusion_residual(b.flat, c.flat, c_pinv)
+    check_tolerance(tol, "tol")
+    residual = range_inclusion_residual(b.blocks, c.blocks, operator_pinv(c).blocks)
     return residual <= tol, residual
 
 
-def range_inclusion_residual(b_flat, c_flat, c_pinv_flat):
-    """Residual of ``Ran(b) <= Ran(c)`` given a precomputed pseudoinverse."""
-    delta = b_flat - c_flat @ (c_pinv_flat @ b_flat)
-    return spec_norm(delta) / (1.0 + spec_norm(b_flat))
+def range_inclusion_residual(b_blocks, c_blocks, c_pinv_blocks):
+    """Residual of ``Ran(b) <= Ran(c)`` given a precomputed pseudoinverse.
+
+    All three arguments are sequences of per-block matrices.
+    """
+    projected = [c @ (cp @ b) for b, c, cp in zip(b_blocks, c_blocks, c_pinv_blocks)]
+    return rel_residual(b_blocks, projected)
 
 
 def projection_onto_range(t):

@@ -6,15 +6,24 @@ convention, so results are reproducible run to run.  A factorization that
 reaches ``MAX_SWEEPS`` with two non-negligible columns still coherent raises
 :class:`FactorizationError` rather than returning unconverged factors.
 
-Operators are immutable, so each one is factored at most once: the SVD of
-its flattening is cached on the operator by :func:`operator_svd` (the
-arrays are read-only) and reused by every later pseudoinverse, range
-inclusion and block decomposition of that operator.  The cache holds only
-the factors; the rank decision is made again on every use, so any
-``rank_tol`` can be applied to the same factors.  The pseudoinverse of a
-module operator is computed on its flattening and mapped back through
-``unflatten``, which certifies that the numerical result is still
-algebra-linear.
+A module operator is one matrix ``T_i`` per algebra block, and its
+flattening is ``(+)_i kron(I_{n_i}, T_i)`` up to a permutation, so every
+factorization runs on the blocks and never on the n_i-fold redundant
+flattening.  The rank is still decided once per operator, on the spectrum
+of the flattening (each block's singular values repeated ``n_i`` times,
+sorted descending): the cutoff is ``max(m, n) * eps * sigma_1`` for the
+flattened ``m x n`` shape and the largest singular value over all blocks,
+and the boundary band is checked on every block (see
+:func:`block_rank_decision`).  The pseudoinverse is built block by block
+from the retained singular triplets, so it is module-linear by
+construction.
+
+Operators are immutable, so each one is factored at most once: the SVDs of
+its blocks are cached on the operator by :func:`operator_svd` (the arrays
+are read-only) and reused by every later pseudoinverse, range inclusion and
+block decomposition of that operator.  The cache holds only the factors;
+the rank decision is made again on every use, so any ``rank_tol`` can be
+applied to the same factors.
 """
 
 from __future__ import annotations
@@ -24,19 +33,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._numeric import spec_norm
+from ._numeric import check_tolerance, rel_residual
 from .errors import ConformabilityError, FactorizationError
-from .operators import AdjointableOp, unflatten
+from .operators import AdjointableOp
 
 __all__ = [
     "SvdFactors",
     "svd_factor",
     "operator_svd",
+    "orthogonal_complement",
     "rank_decision",
+    "RankDecision",
+    "block_rank_decision",
+    "operator_ranks",
     "PinvResult",
     "MatrixPinv",
+    "BlockPinv",
     "pinv_matrix",
     "pinv_from_svd",
+    "pinv_blocks",
+    "operator_pinv",
     "moore_penrose",
     "ThetaClassReport",
     "theta_class",
@@ -149,17 +165,31 @@ def _coherent_columns(a):
 
 
 def operator_svd(t):
-    """SVD factors of ``t.flat``, computed once and cached on ``t``.
+    """SVD factors of each block of ``t``, computed once and cached on ``t``.
 
-    The cached arrays are read-only, since every later caller shares them.
+    Returns one :class:`SvdFactors` per algebra block.  The cached arrays
+    are read-only, since every later caller shares them.
     """
-    f = t._svd
-    if f is None:
-        f = svd_factor(t.flat)
-        for array in (f.U, f.singular_values, f.V):
-            array.flags.writeable = False
-        object.__setattr__(t, "_svd", f)
-    return f
+    factors = t._svd
+    if factors is None:
+        factors = tuple(svd_factor(block) for block in t.blocks)
+        for f in factors:
+            for array in (f.U, f.singular_values, f.V):
+                array.flags.writeable = False
+        object.__setattr__(t, "_svd", factors)
+    return factors
+
+
+def orthogonal_complement(basis):
+    """Orthonormal basis of the complement of ``Ran(basis)`` (``basis`` has
+    orthonormal columns)."""
+    n, r = basis.shape
+    if r == 0:
+        return np.eye(n, dtype=complex)
+    if r == n:
+        return np.zeros((n, 0), dtype=complex)
+    proj = np.eye(n, dtype=complex) - basis @ basis.conj().T
+    return svd_factor(proj).U[:, : n - r]
 
 
 def _complete_column(u, j):
@@ -208,6 +238,9 @@ def rank_decision(shape, singular_values, rank_tol="auto"):
     is set when any singular value falls within a factor of 10 of the
     cutoff, marking the rank decision as numerically fragile.
     """
+    if rank_tol != "auto":
+        rank_tol = float(rank_tol)
+        check_tolerance(rank_tol, "rank_tol")
     s = singular_values
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
@@ -215,13 +248,79 @@ def rank_decision(shape, singular_values, rank_tol="auto"):
     if rank_tol == "auto":
         cutoff = max(shape) * EPS * smax
     else:
-        rank_tol = float(rank_tol)
-        if rank_tol <= 0:
-            raise ValueError("rank_tol must be positive")
         cutoff = rank_tol * smax
     rank = int(np.count_nonzero(s > cutoff))
     flag = bool(np.any((s >= cutoff / 10.0) & (s <= cutoff * 10.0)))
     return rank, cutoff, flag
+
+
+@dataclass(frozen=True)
+class RankDecision:
+    """One rank decision for a block-diagonal matrix ``(+)_i kron(I_{n_i}, M_i)``.
+
+    ``ranks`` counts the retained singular values of each block ``M_i``;
+    ``rank``, ``singular_values``, ``cutoff`` and ``boundary_flag`` are those
+    of the whole matrix.
+    """
+
+    ranks: tuple
+    rank: int
+    singular_values: np.ndarray
+    cutoff: float
+    boundary_flag: bool
+
+
+def block_rank_decision(shape, factors, sizes, rank_tol="auto"):
+    """:func:`rank_decision` for ``(+)_i kron(I_{n_i}, M_i)`` from the SVDs of the ``M_i``.
+
+    ``shape`` is the shape of the whole matrix, and its spectrum is each
+    block's singular values repeated ``n_i`` times, sorted descending, so
+    the cutoff, the rank and the boundary flag are exactly those of a
+    decision on the whole matrix.  Each block retains its singular values
+    above the common cutoff.
+    """
+    spectrum = -np.sort(
+        -np.concatenate([np.repeat(f.singular_values, n) for f, n in zip(factors, sizes)])
+    )
+    rank, cutoff, flag = rank_decision(shape, spectrum, rank_tol)
+    ranks = tuple(int(np.count_nonzero(f.singular_values > cutoff)) for f in factors)
+    return RankDecision(ranks, rank, spectrum, cutoff, flag)
+
+
+def operator_ranks(t, rank_tol="auto"):
+    """The rank decision of a module operator, on its cached block SVDs."""
+    return block_rank_decision(t.flat_shape, operator_svd(t), t.signature.block_sizes, rank_tol)
+
+
+def _pinv_from_factors(f, rank):
+    if rank == 0:
+        return np.zeros((f.V.shape[0], f.U.shape[0]), dtype=complex)
+    return f.V[:, :rank] @ (f.U[:, :rank].conj().T / f.singular_values[:rank, None])
+
+
+@dataclass(frozen=True)
+class BlockPinv:
+    """Per-block pseudoinverses with the rank decision they were cut at."""
+
+    blocks: tuple
+    decision: RankDecision
+
+
+def pinv_blocks(shape, factors, sizes, rank_tol="auto"):
+    """Pseudoinverse of ``(+)_i kron(I_{n_i}, M_i)``, block by block.
+
+    Arguments are those of :func:`block_rank_decision`; each block keeps
+    the singular values above the common cutoff and inverts them on its
+    factor bases.
+    """
+    decision = block_rank_decision(shape, factors, sizes, rank_tol)
+    blocks = tuple(_pinv_from_factors(f, r) for f, r in zip(factors, decision.ranks))
+    return BlockPinv(blocks, decision)
+
+
+def operator_pinv(t, rank_tol="auto"):
+    """Per-block pseudoinverse of a module operator from its cached SVDs."""
+    return pinv_blocks(t.flat_shape, operator_svd(t), t.signature.block_sizes, rank_tol)
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
@@ -238,11 +337,7 @@ def pinv_from_svd(shape, f, rank_tol="auto"):
     """
     s = f.singular_values
     rank, cutoff, flag = rank_decision(shape, s, rank_tol)
-    if rank == 0:
-        inv = np.zeros((shape[1], shape[0]), dtype=complex)
-    else:
-        inv = f.V[:, :rank] @ (f.U[:, :rank].conj().T / s[:rank, None])
-    return MatrixPinv(inv, rank, s, cutoff, flag)
+    return MatrixPinv(_pinv_from_factors(f, rank), rank, s, cutoff, flag)
 
 
 @dataclass(frozen=True)
@@ -260,28 +355,34 @@ class PinvResult:
 def moore_penrose(t, rank_tol="auto"):
     """Moore-Penrose inverse of a module operator.
 
-    Computed from the cached SVD of the flattening (see
-    :func:`operator_svd`), then projected back to the
-    left-multiplication pattern (off-pattern tolerance 1e-8 relative; the
-    exact pseudoinverse commutes with the algebra action, so failure signals
-    numerical breakdown rather than missing structure).  The four reported
-    residuals correspond to the defining equations ``TXT = T``, ``XTX = X``,
+    Computed block by block from the cached block SVDs (see
+    :func:`operator_svd`) with one rank decision for the operator (see
+    :func:`block_rank_decision`); ``rank``, ``singular_values`` and
+    ``cutoff`` are those of the flattening.  The four reported residuals
+    correspond to the defining equations ``TXT = T``, ``XTX = X``,
     ``(TX)* = TX`` and ``(XT)* = XT``.
     """
-    mp = pinv_from_svd(t.flat.shape, operator_svd(t), rank_tol)
-    x = unflatten(mp.pinv, t.signature, (t.cols, t.rows), tol=1e-8)
-    residuals = penrose_residuals(t.flat, x.flat)
-    return PinvResult(x, mp.rank, mp.singular_values, residuals, mp.boundary_flag, mp.cutoff)
+    mp = operator_pinv(t, rank_tol)
+    x = AdjointableOp.from_blocks(t.signature, mp.blocks)
+    residuals = penrose_residuals(t.blocks, x.blocks)
+    d = mp.decision
+    return PinvResult(x, d.rank, d.singular_values, residuals, d.boundary_flag, d.cutoff)
 
 
-def penrose_residuals(t_flat, x_flat):
-    """Relative residuals of the four defining equations."""
-    tx = t_flat @ x_flat
-    xt = x_flat @ t_flat
-    r1 = spec_norm(tx @ t_flat - t_flat) / (1.0 + spec_norm(t_flat))
-    r2 = spec_norm(xt @ x_flat - x_flat) / (1.0 + spec_norm(x_flat))
-    r3 = spec_norm(tx - tx.conj().T) / (1.0 + spec_norm(tx))
-    r4 = spec_norm(xt - xt.conj().T) / (1.0 + spec_norm(xt))
+def penrose_residuals(t, x):
+    """Relative residuals of the four defining equations.
+
+    ``t`` and ``x`` are matrices, or sequences of the per-block matrices of
+    two block-diagonal ones; every norm is then the largest over blocks.
+    """
+    if isinstance(t, np.ndarray):
+        t, x = (t,), (x,)
+    tx = [a @ b for a, b in zip(t, x)]
+    xt = [b @ a for a, b in zip(t, x)]
+    r1 = rel_residual(t, [p @ a for p, a in zip(tx, t)])
+    r2 = rel_residual(x, [q @ b for q, b in zip(xt, x)])
+    r3 = rel_residual(tx, [p.conj().T for p in tx])
+    r4 = rel_residual(xt, [q.conj().T for q in xt])
     return (r1, r2, r3, r4)
 
 
@@ -300,8 +401,7 @@ def theta_class(t, x, tol=1e-8):
     at most ``tol``; the unique {1,2,3,4}-inverse is the Moore-Penrose
     inverse.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol, "tol")
     if t.signature != x.signature:
         raise ConformabilityError("signatures differ")
     if (x.rows, x.cols) != (t.cols, t.rows):
@@ -309,6 +409,6 @@ def theta_class(t, x, tol=1e-8):
             f"candidate must map codomain to domain: got {x.rows}x{x.cols} "
             f"for operator {t.rows}x{t.cols}"
         )
-    residuals = penrose_residuals(t.flat, x.flat)
+    residuals = penrose_residuals(t.blocks, x.blocks)
     satisfied = frozenset(i + 1 for i, r in enumerate(residuals) if r <= tol)
     return ThetaClassReport(satisfied, residuals)

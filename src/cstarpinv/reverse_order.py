@@ -15,7 +15,11 @@ of them with a consistency bit stating that the verdict groups agree the
 way the equivalences demand.  Instances whose rank decisions are fragile
 carry a boundary flag and are excluded from dichotomy statistics.
 
-All checks of one pair share a single set of flattenings and
+Every identity is evaluated block by block on the operators' per-block
+matrices (see :mod:`cstarpinv.operators`): each norm in a residual is the
+largest over blocks, taken separately for the numerator and for the
+``1 + ||.||`` denominator, which is the spectral norm on the flattening.
+All checks of one pair share a single set of block matrices and
 pseudoinverses: it is cached on ``T`` for the last ``S`` it was paired with
 (matched by identity), and built from the operators' cached SVDs, so
 generation's verification, :func:`check_corollary`, the triple checks and
@@ -35,20 +39,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import rel_residual, spec_norm
+from ._numeric import block_norm, check_tolerance, rel_residual
 from .algebra import AlgebraSignature
 from .errors import (
     ConformabilityError,
     DegenerateDecompositionError,
     GenerationError,
 )
-from .operators import adjoint_op, range_inclusion_residual, unflatten
+from .operators import AdjointableOp, adjoint_op, compose, range_inclusion_residual
 from .pinv import (
+    operator_pinv,
+    operator_ranks,
     operator_svd,
+    orthogonal_complement,
     penrose_residuals,
-    pinv_from_svd,
-    pinv_matrix,
-    rank_decision,
+    pinv_blocks,
     svd_factor,
 )
 from .sampling import random_operator, random_operator_with_rank
@@ -90,8 +95,20 @@ class RolCertificate:
     tol: float
 
 
+@dataclass(frozen=True)
+class _PairBlock:
+    """One algebra block of a pair: ``T``, ``S``, ``TS`` and their pseudoinverses."""
+
+    t: np.ndarray
+    s: np.ndarray
+    ts: np.ndarray
+    tp: np.ndarray
+    sp: np.ndarray
+    tsp: np.ndarray
+
+
 class _Pair:
-    """Shared flattenings and pseudoinverses for one (T, S) pair.
+    """Shared block matrices and pseudoinverses for one (T, S) pair.
 
     Obtain it through :func:`_pair`, which shares one per pair; its arrays
     are read-only.
@@ -104,18 +121,21 @@ class _Pair:
             raise ConformabilityError(
                 f"TS undefined: T is {t_op.rows}x{t_op.cols}, S is {s_op.rows}x{s_op.cols}"
             )
-        self.t = t_op.flat
-        self.s = s_op.flat
-        self.ts = self.t @ self.s
-        t_mp = pinv_from_svd(self.t.shape, operator_svd(t_op))
-        s_mp = pinv_from_svd(self.s.shape, operator_svd(s_op))
-        ts_mp = pinv_matrix(self.ts)
-        self.tp = t_mp.pinv
-        self.sp = s_mp.pinv
-        self.tsp = ts_mp.pinv
-        for array in (self.ts, self.tp, self.sp, self.tsp):
+        ts_op = compose(t_op, s_op)
+        t_mp, s_mp, ts_mp = (operator_pinv(op) for op in (t_op, s_op, ts_op))
+        for array in t_mp.blocks + s_mp.blocks + ts_mp.blocks:
             array.flags.writeable = False
-        self.boundary_flag = t_mp.boundary_flag or s_mp.boundary_flag or ts_mp.boundary_flag
+        self.blocks = tuple(
+            _PairBlock(*parts)
+            for parts in zip(
+                t_op.blocks, s_op.blocks, ts_op.blocks, t_mp.blocks, s_mp.blocks, ts_mp.blocks
+            )
+        )
+        self.boundary_flag = (
+            t_mp.decision.boundary_flag
+            or s_mp.decision.boundary_flag
+            or ts_mp.decision.boundary_flag
+        )
 
 
 def _pair(t_op, s_op):
@@ -133,16 +153,18 @@ def _check(residual, tol):
 
 
 def _theta_check(pair, which, tol):
-    residuals = penrose_residuals(pair.ts, pair.sp @ pair.tp)
+    blocks = pair.blocks
+    residuals = penrose_residuals([b.ts for b in blocks], [b.sp @ b.tp for b in blocks])
     picked = [residuals[i - 1] for i in which]
     return ConditionCheck(float(max(picked)), bool(all(r <= tol for r in picked)))
 
 
 def _thm21_checks(pair, tol):
-    lhs1 = pair.ts @ pair.tsp
-    rhs1 = pair.ts @ pair.sp @ pair.tp
-    lhs2 = pair.t.conj().T @ pair.ts
-    rhs2 = pair.s @ (pair.sp @ lhs2)
+    blocks = pair.blocks
+    lhs1 = [b.ts @ b.tsp for b in blocks]
+    rhs1 = [b.ts @ b.sp @ b.tp for b in blocks]
+    lhs2 = [b.t.conj().T @ b.ts for b in blocks]
+    rhs2 = [b.s @ (b.sp @ lhs) for b, lhs in zip(blocks, lhs2)]
     return (
         _check(rel_residual(lhs1, rhs1), tol),
         _check(rel_residual(lhs2, rhs2), tol),
@@ -151,10 +173,11 @@ def _thm21_checks(pair, tol):
 
 
 def _thm22_checks(pair, tol):
-    lhs1 = pair.tsp @ pair.ts
-    rhs1 = pair.sp @ pair.tp @ pair.ts
-    lhs2 = pair.ts @ pair.s.conj().T
-    rhs2 = lhs2 @ pair.tp @ pair.t
+    blocks = pair.blocks
+    lhs1 = [b.tsp @ b.ts for b in blocks]
+    rhs1 = [b.sp @ b.tp @ b.ts for b in blocks]
+    lhs2 = [b.ts @ b.s.conj().T for b in blocks]
+    rhs2 = [lhs @ b.tp @ b.t for b, lhs in zip(blocks, lhs2)]
     return (
         _check(rel_residual(lhs1, rhs1), tol),
         _check(rel_residual(lhs2, rhs2), tol),
@@ -164,19 +187,14 @@ def _thm22_checks(pair, tol):
 
 def check_thm21(t_op, s_op, tol=DEFAULT_TOL):
     """Residual/verdict pairs for the three conditions of triple A."""
-    _validate_tol(tol)
+    check_tolerance(tol, "tol")
     return _thm21_checks(_pair(t_op, s_op), tol)
 
 
 def check_thm22(t_op, s_op, tol=DEFAULT_TOL):
     """Residual/verdict pairs for the three conditions of triple B."""
-    _validate_tol(tol)
+    check_tolerance(tol, "tol")
     return _thm22_checks(_pair(t_op, s_op), tol)
-
-
-def _validate_tol(tol):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
 
 def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
@@ -187,21 +205,20 @@ def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
     range inclusions hold).  The assertion is only meaningful when
     ``boundary_flag`` is unset.
     """
-    _validate_tol(tol)
+    check_tolerance(tol, "tol")
     pair = _pair(t_op, s_op)
     thm21 = _thm21_checks(pair, tol)
     thm22 = _thm22_checks(pair, tol)
 
-    residual_rol = rel_residual(pair.tsp, pair.sp @ pair.tp)
+    blocks = pair.blocks
+    residual_rol = rel_residual([b.tsp for b in blocks], [b.sp @ b.tp for b in blocks])
     rol_verdict = residual_rol <= tol
 
-    g1_target = pair.t.conj().T @ pair.ts
-    g1 = range_inclusion_residual(g1_target, pair.s, pair.sp)
-    g2_target = pair.s @ pair.s.conj().T @ pair.t.conj().T
+    g1_target = [b.t.conj().T @ b.ts for b in blocks]
+    g1 = range_inclusion_residual(g1_target, [b.s for b in blocks], [b.sp for b in blocks])
+    g2_target = [b.s @ b.s.conj().T @ b.t.conj().T for b in blocks]
     # Ran(T*) projector is (T^+ T); avoids factoring T* separately.
-    g2 = spec_norm(g2_target - pair.tp @ (pair.t @ g2_target)) / (
-        1.0 + spec_norm(g2_target)
-    )
+    g2 = rel_residual(g2_target, [b.tp @ (b.t @ g) for b, g in zip(blocks, g2_target)])
     greville = (_check(g1, tol), _check(g2, tol))
 
     agree21 = len({c.verdict for c in thm21}) == 1
@@ -275,77 +292,85 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     """Evaluate the eight proof-level block residuals for a pair.
 
     ``S`` must be nonzero so that ``S1`` is a nonempty invertible block.
+    The canonical coordinates are taken per algebra block, from the cached
+    block SVDs and one rank decision per operator; each residual's norms
+    are the largest over blocks.
     """
-    _validate_tol(tol)
+    check_tolerance(tol, "tol")
     if t_op.signature != s_op.signature:
         raise ConformabilityError("signatures differ")
     if t_op.cols != s_op.rows:
         raise ConformabilityError("TS undefined")
-    s = s_op.flat
-    t = t_op.flat
-    fs = operator_svd(s_op)
-    rank_s, _, flag_s = rank_decision(s.shape, fs.singular_values, "auto")
-    if rank_s == 0:
+    s_ranks = operator_ranks(s_op)
+    if s_ranks.rank == 0:
         raise DegenerateDecompositionError("S is zero; no invertible block S1")
+    t_ranks = operator_ranks(t_op)
+    reduced = [
+        _reduce_block(*parts)
+        for parts in zip(
+            t_op.blocks,
+            s_op.blocks,
+            operator_svd(t_op),
+            operator_svd(s_op),
+            t_ranks.ranks,
+            s_ranks.ranks,
+        )
+    ]
+    ts1_mp = pinv_blocks(
+        (t_ranks.rank, s_ranks.rank),
+        [svd_factor(t1 @ s1) for t1, _, s1 in reduced],
+        t_op.signature.block_sizes,
+    )
+    per_block = [_block_terms(*parts, p) for parts, p in zip(reduced, ts1_mp.blocks)]
+    residuals = []
+    for terms in zip(*per_block):
+        lhs = [a for a, _ in terms]
+        rhs = None if terms[0][1] is None else [b for _, b in terms]
+        residuals.append(float(rel_residual(lhs, rhs)))
+    flag = (
+        s_ranks.boundary_flag or t_ranks.boundary_flag or ts1_mp.decision.boundary_flag
+    )
+    return BlockConditionReport(*residuals, bool(flag), float(tol))
+
+
+def _reduce_block(t, s, ft, fs, rank_t, rank_s):
+    """``T1``, ``T2`` and ``S1`` of one algebra block.
+
+    ``S1`` maps ``Ran(S*)`` onto ``Ran(S)``; ``[T1, T2]`` maps
+    ``Ran(S) (+) Ker(S*)`` into ``Ran(T)``.
+    """
     us1 = fs.U[:, :rank_s]
-    us2 = _kernel_basis(fs.U[:, :rank_s])
-    vs1 = fs.V[:, :rank_s]
-    s1 = us1.conj().T @ s @ vs1
-
-    ft = operator_svd(t_op)
-    rank_t, _, flag_t = rank_decision(t.shape, ft.singular_values, "auto")
+    us2 = orthogonal_complement(us1)
+    s1 = us1.conj().T @ s @ fs.V[:, :rank_s]
     ut1 = ft.U[:, :rank_t]
-    t1 = ut1.conj().T @ t @ us1
-    t2 = ut1.conj().T @ t @ us2
+    return ut1.conj().T @ t @ us1, ut1.conj().T @ t @ us2, s1
 
-    d = t1 @ t1.conj().T + t2 @ t2.conj().T
-    if rank_t:
-        d_inv = np.linalg.solve(d, np.eye(rank_t, dtype=complex))
-    else:
-        d_inv = d
-    s1_inv = np.linalg.solve(s1, np.eye(rank_s, dtype=complex))
+
+def _inverse(m):
+    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex)) if m.size else m
+
+
+def _block_terms(t1, t2, s1, p_ts1):
+    """``(lhs, rhs)`` of the eight block residuals on one algebra block, in
+    the order of :class:`BlockConditionReport`; ``rhs`` is ``None`` for an
+    identity ``lhs == 0``."""
+    d_inv = _inverse(t1 @ t1.conj().T + t2 @ t2.conj().T)
+    s1_inv = _inverse(s1)
     ts1 = t1 @ s1
-    ts1_mp = pinv_matrix(ts1)
-    p_ts1 = ts1_mp.pinv
-
     t1t1 = t1 @ t1.conj().T
     s1s1 = s1 @ s1.conj().T
     core = t1.conj().T @ d_inv @ t1
-
-    c1 = rel_residual(ts1 @ p_ts1, t1t1 @ d_inv)
-    c2 = rel_residual(t2.conj().T @ t1, None)
-    c3a = rel_residual(t1t1 @ d_inv @ t1, t1)
-    c3b = rel_residual(t1t1 @ d_inv, d_inv @ t1t1)
-    d1 = rel_residual(p_ts1 @ ts1, s1_inv @ t1.conj().T @ d_inv @ ts1)
     tss = t1 @ s1s1
-    d2a = rel_residual(tss @ core, tss)
-    d2b = rel_residual(tss @ t1.conj().T @ d_inv @ t2, None)
-    d3 = rel_residual(s1s1 @ core, core @ s1s1)
-
-    flag = flag_s or flag_t or ts1_mp.boundary_flag
-    return BlockConditionReport(
-        float(c1),
-        float(c2),
-        float(c3a),
-        float(c3b),
-        float(d1),
-        float(d2a),
-        float(d2b),
-        float(d3),
-        bool(flag),
-        float(tol),
+    return (
+        (ts1 @ p_ts1, t1t1 @ d_inv),
+        (t2.conj().T @ t1, None),
+        (t1t1 @ d_inv @ t1, t1),
+        (t1t1 @ d_inv, d_inv @ t1t1),
+        (p_ts1 @ ts1, s1_inv @ t1.conj().T @ d_inv @ ts1),
+        (tss @ core, tss),
+        (tss @ t1.conj().T @ d_inv @ t2, None),
+        (s1s1 @ core, core @ s1s1),
     )
-
-
-def _kernel_basis(range_basis):
-    """Orthonormal basis of the orthogonal complement of ``Ran(range_basis)``."""
-    n, r = range_basis.shape
-    if r == 0:
-        return np.eye(n, dtype=complex)
-    if r == n:
-        return np.zeros((n, 0), dtype=complex)
-    proj = np.eye(n, dtype=complex) - range_basis @ range_basis.conj().T
-    return svd_factor(proj).U[:, : n - r]
 
 
 def gen_instance(kind, dims, ranks=None, signature=None, seed=0):
@@ -415,44 +440,47 @@ def _build_s_adjoint(sig, p, m, k, rank_t, rank_s, rng):
     return t, adjoint_op(t)
 
 
-def _snap_flat(flat):
-    """Rebuild a flattening from its truncated SVD.
+def _snap(op):
+    """Rebuild an operator from its truncated SVD.
 
     Long products of projections leave rounding trash just above the
     boundary-flag band; rebuilding from the retained singular triplets sheds
     it without disturbing the constructed subspace relations (they survive
     an eps-size perturbation, and the post-hoc verdict checks remain the
-    referee).
+    referee).  An operator of full rank is returned as it is.
     """
-    f = svd_factor(flat)
-    rank, _, _ = rank_decision(flat.shape, f.singular_values, "auto")
-    if rank == min(flat.shape):
-        return flat
-    return (f.U[:, :rank] * f.singular_values[:rank]) @ f.V[:, :rank].conj().T
+    decision = operator_ranks(op)
+    if decision.rank == min(op.flat_shape):
+        return op
+    return AdjointableOp.from_blocks(
+        op.signature,
+        [
+            (f.U[:, :r] * f.singular_values[:r]) @ f.V[:, :r].conj().T
+            for f, r in zip(operator_svd(op), decision.ranks)
+        ],
+    )
 
 
-def _finish_op(flat, sig, rows, cols):
-    """Normalize, snap and lift a constructed flattening to a module operator."""
-    norm = spec_norm(flat)
+def _finish_op(op):
+    """Normalize and snap a constructed operator."""
+    norm = block_norm(op.blocks)
     if norm > 0:
-        flat = flat / norm
-    return unflatten(_snap_flat(flat), sig, (rows, cols), tol=1e-8)
+        op = AdjointableOp.from_blocks(op.signature, [b / norm for b in op.blocks])
+    return _snap(op)
 
 
-def _range_projector(flat):
-    """Flattened orthogonal projector onto the range of ``flat``."""
-    f = svd_factor(flat)
-    rank, _, _ = rank_decision(flat.shape, f.singular_values, "auto")
-    basis = f.U[:, :rank]
-    return basis @ basis.conj().T
+def _range_projector(op):
+    """The orthogonal projector onto the range of ``op``."""
+    bases = [f.U[:, :r] for f, r in zip(operator_svd(op), operator_ranks(op).ranks)]
+    return AdjointableOp.from_blocks(op.signature, [u @ u.conj().T for u in bases])
 
 
 def _build_rol_holds(sig, p, m, k, rank_t, rank_s, rng):
     shared = rank_t if rank_t is not None else rank_s
     r = _draw_rank(shared, min(p, m, k), rng)
-    w = random_operator(sig, m, r, rng).flat
-    s = _finish_op(w @ random_operator(sig, r, k, rng).flat, sig, m, k)
-    t = _finish_op((w @ random_operator(sig, r, p, rng).flat).conj().T, sig, p, m)
+    w = random_operator(sig, m, r, rng)
+    s = _finish_op(w @ random_operator(sig, r, k, rng))
+    t = _finish_op(adjoint_op(w @ random_operator(sig, r, p, rng)))
     cert = check_corollary(t, s)
     ok = cert.greville[0].verdict and cert.greville[1].verdict and cert.rol_verdict
     return (t, s) if ok else None
@@ -460,19 +488,17 @@ def _build_rol_holds(sig, p, m, k, rank_t, rank_s, rng):
 
 def _build_thm21_only(sig, p, m, k, rank_t, rank_s, rng):
     rs = _draw_rank(rank_s, min(m, k), rng)
-    w = random_operator(sig, m, rs, rng).flat
+    w = random_operator(sig, m, rs, rng)
     p_w = _range_projector(w)
-    q_w = np.eye(p_w.shape[0], dtype=complex) - p_w
-    s = _finish_op(w @ random_operator(sig, rs, k, rng).flat, sig, m, k)
+    q_w = AdjointableOp.identity(sig, m) - p_w
+    s = _finish_op(w @ random_operator(sig, rs, k, rng))
 
     r1 = _draw_rank(None, max(1, p - 1), rng)
-    p1 = _range_projector(random_operator(sig, p, r1, rng).flat)
-    q1 = np.eye(p1.shape[0], dtype=complex) - p1
-    t_flat = (
-        p1 @ random_operator(sig, p, m, rng).flat @ p_w
-        + q1 @ random_operator(sig, p, m, rng).flat @ q_w
+    p1 = _range_projector(random_operator(sig, p, r1, rng))
+    q1 = AdjointableOp.identity(sig, p) - p1
+    t = _finish_op(
+        p1 @ random_operator(sig, p, m, rng) @ p_w + q1 @ random_operator(sig, p, m, rng) @ q_w
     )
-    t = _finish_op(t_flat, sig, p, m)
 
     ok21 = all(c.verdict for c in check_thm21(t, s))
     ok22 = all(c.verdict for c in check_thm22(t, s))
@@ -484,23 +510,25 @@ def _build_thm22_only(sig, p, m, k, rank_t, rank_s, rng):
         raise ConformabilityError("thm22_only requires p >= 2 and m >= 2")
     rs = _draw_rank(rank_s, min(m - 1, k), rng)
     s0 = random_operator_with_rank(sig, m, k, rs, rng)
-    fs = svd_factor(s0.flat)
-    rank_f, _, _ = rank_decision(s0.flat.shape, fs.singular_values, "auto")
-    iso = fs.U[:, :rank_f] @ fs.V[:, :rank_f].conj().T
-    # Polar isometry of a module operator stays module-linear; its reduced
-    # block S1 is unitary, which trivializes the commutator condition.
-    s = unflatten(iso, sig, (m, k), tol=1e-8)
+    # Polar isometry of S0, block by block; its reduced block S1 is unitary,
+    # which trivializes the commutator condition.
+    s = AdjointableOp.from_blocks(
+        sig,
+        [
+            f.U[:, :r] @ f.V[:, :r].conj().T
+            for f, r in zip(operator_svd(s0), operator_ranks(s0).ranks)
+        ],
+    )
 
     a = int(rng.integers(1, min(rs, p - 1) + 1))
     b = int(rng.integers(1, min(m - rs, p - a) + 1))
-    v1 = iso @ random_operator(sig, k, a, rng).flat
-    q_w = np.eye(iso.shape[0], dtype=complex) - iso @ iso.conj().T
-    v2 = q_w @ random_operator(sig, m, b, rng).flat
-    t_flat = (
-        random_operator(sig, p, a, rng).flat @ v1.conj().T
-        + random_operator(sig, p, b, rng).flat @ v2.conj().T
+    v1 = s @ random_operator(sig, k, a, rng)
+    q_w = AdjointableOp.identity(sig, m) - s @ adjoint_op(s)
+    v2 = q_w @ random_operator(sig, m, b, rng)
+    t = _finish_op(
+        random_operator(sig, p, a, rng) @ adjoint_op(v1)
+        + random_operator(sig, p, b, rng) @ adjoint_op(v2)
     )
-    t = _finish_op(t_flat, sig, p, m)
 
     ok22 = all(c.verdict for c in check_thm22(t, s))
     ok21 = all(c.verdict for c in check_thm21(t, s))

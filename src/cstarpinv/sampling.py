@@ -2,13 +2,16 @@
 
 All functions take an explicit ``numpy.random.Generator``; nothing here
 touches global randomness, so callers control determinism by seeding.
+Operators are drawn straight into their per-block matrices, consuming the
+stream in the order of :func:`random_element` entry by entry (row-major),
+so a seed gives the same operator whichever way it is assembled.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import spec_norm
+from ._numeric import block_norm
 from .algebra import AlgebraElement
 from .module_space import ModuleVector
 from .operators import AdjointableOp, compose
@@ -37,14 +40,27 @@ def random_vector(signature, k, rng):
 
 
 def random_operator(signature, rows, cols, rng, normalize=False):
-    op = AdjointableOp(
-        [[random_element(signature, rng) for _ in range(cols)] for _ in range(rows)]
-    )
+    """Operator whose entries are independent :func:`random_element` draws."""
+    sizes = signature.block_sizes
+    # Per entry, each block draws its n*n real parts and then its n*n
+    # imaginary parts, exactly as random_element does.
+    draws = rng.standard_normal((rows, cols, 2 * signature.dim))
+    blocks = []
+    pos = 0
+    for n in sizes:
+        parts = draws[:, :, pos : pos + 2 * n * n].reshape(rows, cols, 2, n, n)
+        entries = (parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2.0)
+        blocks.append(entries.transpose(0, 2, 1, 3).reshape(rows * n, cols * n))
+        pos += 2 * n * n
+    op = AdjointableOp.from_blocks(signature, blocks)
     if normalize:
-        norm = spec_norm(op.flat)
-        if norm > 0:
-            op = op.scale(1.0 / norm)
+        op = _normalized(op)
     return op
+
+
+def _normalized(op):
+    norm = block_norm(op.blocks)
+    return op.scale(1.0 / norm) if norm > 0 else op
 
 
 def random_operator_with_rank(signature, rows, cols, rank, rng, normalize=True):
@@ -56,7 +72,5 @@ def random_operator_with_rank(signature, rows, cols, rank, rng, normalize=True):
         random_operator(signature, rank, cols, rng),
     )
     if normalize:
-        norm = spec_norm(op.flat)
-        if norm > 0:
-            op = op.scale(1.0 / norm)
+        op = _normalized(op)
     return op

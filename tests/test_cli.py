@@ -410,3 +410,100 @@ def test_run_fuzz_keeps_operators_of_inconsistent_instances_only():
             assert isinstance(t_op, AdjointableOp) and isinstance(s_op, AdjointableOp)
         else:
             assert t_op is None and s_op is None
+
+
+def test_cmd_pinv_rejects_non_finite_tol(tmp_path, capsys):
+    # NaN used to pass a "<= 0" test and report rank 0 for the identity
+    path = write(tmp_path, "one.json", op1([[1.0]]))
+    for tol in ("nan", "inf", "-inf", "0", "-1e-3"):
+        code, out, err = run(capsys, "pinv", path, f"--tol={tol}")
+        assert code == 2, tol
+        assert out == "" and err.startswith("error: --tol"), (tol, err)
+
+
+def test_cmd_check_and_fuzz_reject_non_finite_tol(tmp_path, capsys, monkeypatch):
+    path_t = write(tmp_path, "T.json", op1([[1, 0], [0, 0]]))
+    path_s = write(tmp_path, "S.json", op1([[1, 0], [1, 0]]))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_fuzz", lambda *a, **k: pytest.fail("bad --tol reached run_fuzz"))
+    for tol in ("nan", "inf"):
+        code, out, err = run(capsys, "check", path_t, path_s, f"--tol={tol}", "--machine")
+        assert (code, out) == (2, ""), tol
+        assert "error: --tol must be positive and finite" in err
+        code, out, err = run(capsys, "fuzz", "--count", "3", "--seed", "1", f"--tol={tol}")
+        assert (code, out) == (2, ""), tol
+        assert "error: --tol must be positive and finite" in err
+
+
+def test_library_rejects_non_finite_tolerances():
+    from cstarpinv import range_inclusion, theta_class
+    from cstarpinv.pinv import moore_penrose, rank_decision
+    from cstarpinv.reverse_order import block_conditions, check_corollary, check_thm21
+
+    t = op1([[1, 0], [0, 1]])
+    zero = AdjointableOp.zero(AlgebraSignature((1,)), 2, 2)
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            rank_decision((2, 2), np.array([1.0, 0.5]), bad)
+        with pytest.raises(ValueError):
+            rank_decision((2, 2), np.zeros(2), bad)  # the zero spectrum too
+        with pytest.raises(ValueError):
+            moore_penrose(zero, bad)
+        for check in (check_corollary, check_thm21, block_conditions):
+            with pytest.raises(ValueError):
+                check(t, t, bad)
+        with pytest.raises(ValueError):
+            range_inclusion(t, t, bad)
+        with pytest.raises(ValueError):
+            theta_class(t, t, bad)
+
+
+def test_unreadable_operator_files_exit_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"signature": [1], "comment": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    good = write(tmp_path, "good.json", op1([[1.0]]))
+    for path, reason in ((not_utf8, "not UTF-8"), (deep, "too deeply")):
+        with pytest.raises(OperatorFileError) as info:
+            read_operator_file(str(path))
+        assert info.value.field == "file" and reason in str(info.value)
+        code, out, err = run(capsys, "pinv", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: file:") and "Traceback" not in err
+        code, _, err = run(capsys, "check", good, str(path), "--machine")
+        assert code == 2 and err.startswith("error: file:")
+
+
+def test_cli_paths_build_no_flattening_and_no_entry_grid(tmp_path, capsys, monkeypatch):
+    # the flattening and the AlgebraElement grid are derived views for the
+    # public API; fuzz, pinv and check run on the per-block matrices alone
+    import cstarpinv.algebra as algebra
+    import cstarpinv.operators as operators
+    from cstarpinv import adjoint_op
+
+    sig = AlgebraSignature((2, 2, 3))
+    t = random_operator(sig, 2, 3, np.random.default_rng(5))
+    path_t = write(tmp_path, "T.json", t)
+    path_s = write(tmp_path, "S.json", adjoint_op(t))
+    out_path = str(tmp_path / "pinv.json")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a flattening or an AlgebraElement was built on a CLI path")
+
+    monkeypatch.setattr(operators, "_flat_matrix", forbidden)
+    monkeypatch.setattr(operators, "_entry_grid", forbidden)
+    monkeypatch.setattr(algebra.AlgebraElement, "__init__", forbidden)
+    monkeypatch.chdir(tmp_path)
+    argv = ["fuzz", "--signature", "1,2", "--dims", "3,3,3", "--count", "10", "--seed", "3"]
+    code, out, _ = run(capsys, *argv, "--machine")
+    assert code == 0 and json.loads(out)["summary"]["inconsistent"] == 0
+    code, out, _ = run(capsys, "pinv", path_t, "--out", out_path)
+    assert code == 0 and "rank: 34" in out  # module rank 2, d = 17
+    code, out, _ = run(capsys, "check", path_t, path_s, "--machine")
+    assert code == 0 and json.loads(out)["rol_verdict"]
+    monkeypatch.undo()
+
+    x = read_operator_file(out_path)
+    defect = np.linalg.norm(t.flat @ x.flat @ t.flat - t.flat, 2)
+    assert defect <= 1e-10 * (1 + np.linalg.norm(t.flat, 2))

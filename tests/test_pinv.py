@@ -237,14 +237,18 @@ def test_operator_svd_is_cached_and_read_only(rng):
     from cstarpinv.pinv import operator_svd
 
     t = random_operator(SIG12, 3, 2, rng)
-    f = operator_svd(t)
-    assert operator_svd(t) is f
-    for array in (f.U, f.singular_values, f.V):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    fresh = svd_factor(t.flat)
-    for cached, direct in zip((f.U, f.singular_values, f.V), (fresh.U, fresh.singular_values, fresh.V)):
-        np.testing.assert_array_equal(cached, direct)
+    factors = operator_svd(t)
+    assert operator_svd(t) is factors
+    assert len(factors) == len(t.blocks) == 2
+    for f, block in zip(factors, t.blocks):
+        for array in (f.U, f.singular_values, f.V):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        fresh = svd_factor(block)
+        for cached, direct in zip(
+            (f.U, f.singular_values, f.V), (fresh.U, fresh.singular_values, fresh.V)
+        ):
+            np.testing.assert_array_equal(cached, direct)
 
 
 def test_moore_penrose_rank_tol_on_cached_factors():
