@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from ._numeric import positive_finite
@@ -23,7 +22,7 @@ from .fileio import (
     read_operator_file,
     write_operator_file,
 )
-from .operators import check_flat_size
+from .operators import check_block_size
 from .pinv import moore_penrose
 from .reverse_order import (
     GENERATOR_KINDS,
@@ -77,7 +76,6 @@ def build_parser():
         help=f"comma-separated mix from {','.join(GENERATOR_KINDS)}",
     )
     p_fuzz.add_argument("--tol", type=float, default=1e-8)
-    p_fuzz.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_fuzz.add_argument("--machine", action="store_true")
     p_fuzz.add_argument(
         "--dump-dir",
@@ -192,16 +190,15 @@ def _parse_int_list(text, field, minimum=1):
     return values
 
 
-def run_fuzz(dims, count, seed, signature, kinds, tol, jobs=1, check_fn=None):
+def run_fuzz(dims, count, seed, signature, kinds, tol, check_fn=None):
     """Generate and verify ``count`` instances; returns (results, summary).
 
     ``results`` holds one ``(record, certificate, T, S)`` per instance; the
     operators are kept only for inconsistent instances (the ones worth
     dumping) and are ``None`` otherwise, so memory does not grow with
     ``count`` beyond the records.  ``check_fn(t, s, tol)`` may be injected
-    for testing; it must return a certificate.  Instances are evaluated with
-    per-instance seeds ``seed + index`` and aggregated in index order, so
-    results do not depend on ``jobs``.
+    for testing; it must return a certificate.  Instance ``index`` is
+    generated from the seed ``seed + index``.
     """
     check = check_fn or check_corollary
     p, m, k = dims
@@ -244,11 +241,7 @@ def run_fuzz(dims, count, seed, signature, kinds, tol, jobs=1, check_fn=None):
             t_op = s_op = None
         return record, cert, t_op, s_op
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, range(count)))
-    else:
-        results = [run_one(i) for i in range(count)]
+    results = [run_one(i) for i in range(count)]
 
     records = [r for r, _, _, _ in results]
     flagged = sum(1 for r in records if r["boundary_flag"])
@@ -281,9 +274,6 @@ def _cmd_fuzz(args):
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if not positive_finite(args.tol):
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
@@ -295,8 +285,8 @@ def _cmd_fuzz(args):
     signature = AlgebraSignature(tuple(sig_sizes))
     # T is p x m and S is m x k; no intermediate matrix is wider than these.
     p, m, k = dims
-    check_flat_size(signature, p, m)
-    check_flat_size(signature, m, k)
+    check_block_size(signature, p, m)
+    check_block_size(signature, m, k)
     kinds = tuple(part for part in args.kinds.split(",") if part)
     unknown = [kind for kind in kinds if kind not in GENERATOR_KINDS]
     if not kinds or unknown:
@@ -307,9 +297,7 @@ def _cmd_fuzz(args):
         print("error: thm21_only/thm22_only need dims p, m >= 2", file=sys.stderr)
         return EXIT_USAGE
 
-    results, summary = run_fuzz(
-        tuple(dims), args.count, args.seed, signature, kinds, args.tol, args.jobs
-    )
+    results, summary = run_fuzz(tuple(dims), args.count, args.seed, signature, kinds, args.tol)
 
     dumped = []
     for record, cert, t_op, s_op in results:

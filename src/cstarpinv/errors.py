@@ -22,11 +22,11 @@ class DegenerateDecompositionError(CstarPinvError):
 
 
 class FactorizationError(CstarPinvError):
-    """The Jacobi SVD reached its sweep limit without converging."""
+    """An SVD did not converge."""
 
 
 class SizeLimitError(CstarPinvError):
-    """An operator's flattening would exceed the supported size."""
+    """An operator's block matrices would exceed the supported size."""
 
 
 class GenerationError(CstarPinvError):

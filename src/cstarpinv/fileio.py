@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraSignature
 from .errors import OperatorFileError, SizeLimitError
-from .operators import AdjointableOp, check_flat_size
+from .operators import AdjointableOp, check_block_size
 from .reverse_order import ConditionCheck, RolCertificate
 
 __all__ = [
@@ -100,7 +100,7 @@ def operator_from_dict(data):
             f"must be a positive integer, got {value!r}",
         )
     try:
-        check_flat_size(signature, rows, cols)
+        check_block_size(signature, rows, cols)
     except SizeLimitError as exc:
         raise OperatorFileError("rows" if rows >= cols else "cols", str(exc)) from None
 

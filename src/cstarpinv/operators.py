@@ -25,8 +25,8 @@ Operators are immutable, and each one also caches, lazily, the SVDs of its
 blocks (filled by :func:`cstarpinv.pinv.operator_svd`) and the shared
 pseudoinverse data of the last pair ``(self, S)`` it was the left factor of
 (filled by :mod:`cstarpinv.reverse_order`), so the same matrix is never
-factored twice.  Flattenings are limited to ``MAX_FLAT_SIDE`` rows and
-columns; :func:`check_flat_size` rejects larger ones before allocating.
+factored twice.  Block matrices are limited to ``MAX_BLOCK_SIDE`` rows and
+columns; :func:`check_block_size` rejects larger ones before allocating.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .errors import ConformabilityError, InvalidDecompositionError, SizeLimitErr
 from .module_space import ModuleVector
 
 __all__ = [
-    "MAX_FLAT_SIDE",
-    "check_flat_size",
+    "MAX_BLOCK_SIDE",
+    "check_block_size",
     "AdjointableOp",
     "Projection",
     "apply",
@@ -55,20 +55,23 @@ __all__ = [
 ]
 
 
-# Largest supported number of rows or columns of a flattening; a 2048x2048
-# complex matrix takes 64 MiB, and the Jacobi SVD grows with its cube.
-MAX_FLAT_SIDE = 2048
+# Largest supported number of rows or columns of an operator's block
+# matrices stacked block-diagonally, (+)_i T_i: a 2048x2048 complex matrix
+# takes 64 MiB, and its SVD grows with its cube.  For one algebra block this
+# bounds the block matrix itself; with many blocks it also bounds their sum.
+MAX_BLOCK_SIDE = 2048
 
 
-def check_flat_size(signature, rows, cols):
-    """Raise :class:`SizeLimitError` unless a ``rows x cols`` operator over
-    ``signature`` flattens to at most ``MAX_FLAT_SIDE`` per side."""
-    d = signature.dim
-    if max(rows, cols) * d > MAX_FLAT_SIDE:
+def check_block_size(signature, rows, cols):
+    """Raise :class:`SizeLimitError` unless the block matrices of a
+    ``rows x cols`` operator over ``signature``, stacked block-diagonally,
+    have at most ``MAX_BLOCK_SIDE`` rows and columns."""
+    n = sum(signature.block_sizes)
+    if max(rows, cols) * n > MAX_BLOCK_SIDE:
         raise SizeLimitError(
             f"a {rows}x{cols} operator over signature {list(signature.block_sizes)} "
-            f"flattens to {rows * d}x{cols * d}; at most {MAX_FLAT_SIDE} rows and "
-            f"columns are supported"
+            f"has {rows * n}x{cols * n} block matrices stacked block-diagonally; at most "
+            f"{MAX_BLOCK_SIDE} rows and columns are supported"
         )
 
 

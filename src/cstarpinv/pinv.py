@@ -1,9 +1,8 @@
 """Rank-revealing factorization and Moore-Penrose inverses.
 
-The factorization is a one-sided Jacobi SVD (compiled kernel when available,
-NumPy fallback otherwise) with a fixed rotation schedule and a fixed phase
-convention, so results are reproducible run to run.  A factorization that
-reaches ``MAX_SWEEPS`` with two non-negligible columns still coherent raises
+Every factorization is one LAPACK SVD (``numpy.linalg.svd``, economy size)
+followed by a fixed phase convention, so results are reproducible run to
+run.  A factorization that LAPACK reports as not converged raises
 :class:`FactorizationError` rather than returning unconverged factors.
 
 A module operator is one matrix ``T_i`` per algebra block, and its
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._numeric import check_tolerance, rel_residual
 from .errors import ConformabilityError, FactorizationError
 from .operators import AdjointableOp
@@ -59,14 +57,7 @@ __all__ = [
     "penrose_residuals",
 ]
 
-# Convergence is certified by a final sweep that applies no rotation, so the
-# pairwise coherence of the output columns is bounded by SWEEP_TOL.
-SWEEP_TOL = 1e-15
-MAX_SWEEPS = 64
 EPS = 2.0 ** -52
-# Columns of the orthogonalized matrix at or below this share of the largest
-# are numerically zero: their left singular vectors are completed instead.
-NEGLIGIBLE = 64.0 * EPS
 
 
 @dataclass(frozen=True)
@@ -98,70 +89,12 @@ def svd_factor(matrix):
             np.zeros(k),
             np.zeros((n, k), dtype=complex),
         )
-    if m >= n:
-        u, s, v = _jacobi_svd(matrix)
-    else:
-        v, s, u = _jacobi_svd(matrix.conj().T)
-    u, v = _fix_phases(u, v)
+    try:
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(f"SVD of a {m}x{n} matrix did not converge") from None
+    u, v = _fix_phases(u, vh.conj().T)
     return SvdFactors(u, s, v)
-
-
-def _jacobi_svd(matrix):
-    """One-sided Jacobi on a tall matrix (m >= n)."""
-    m, n = matrix.shape
-    a = np.ascontiguousarray(matrix, dtype=complex)
-    if a is matrix or not a.flags.owndata:
-        a = a.copy()
-    # Exact power-of-two scaling keeps squared column norms away from the
-    # underflow/overflow range without perturbing the factors.  The max
-    # modulus is used because a Frobenius norm can itself overflow; the
-    # exponent is clamped so both the scale and its reciprocal stay normal.
-    amax = float(np.abs(a).max())
-    scale = 1.0
-    if amax > 0 and not 1e-100 < amax < 1e100:
-        exponent = int(np.clip(np.floor(np.log2(amax)), -1000, 1000))
-        scale = 2.0 ** exponent
-        a *= 2.0 ** (-exponent)
-    v = np.eye(n, dtype=complex)
-    pair_p, pair_q, offsets = _kernels.rotation_schedule(n)
-    max_sweeps = MAX_SWEEPS
-    sweeps = _kernels.orthogonalize_columns(
-        a, v, pair_p, pair_q, offsets, SWEEP_TOL, max_sweeps
-    )
-    if sweeps >= max_sweeps and _coherent_columns(a):
-        raise FactorizationError(
-            f"Jacobi SVD of a {m}x{n} matrix did not converge in {max_sweeps} sweeps"
-        )
-
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-
-    smax = sigma[0] if n else 0.0
-    floor = NEGLIGIBLE * smax
-    u = np.zeros((m, n), dtype=complex)
-    kept = sigma > floor if smax > 0 else np.zeros(n, dtype=bool)
-    u[:, kept] = a[:, kept] / sigma[kept]
-    for j in np.flatnonzero(~kept):
-        u[:, j] = _complete_column(u, j)
-    return u, sigma * scale, v
-
-
-def _coherent_columns(a):
-    """Whether two non-negligible columns of ``a`` still fail the sweep test.
-
-    A sweep limit can also be reached by a pair whose smaller column is
-    numerically zero (its squared norm underflows, so every sweep "rotates"
-    it by a pure phase); such a stall leaves the factors intact.
-    """
-    sigma = np.linalg.norm(a, axis=0)
-    live = sigma > NEGLIGIBLE * sigma.max()
-    b, norms = a[:, live], sigma[live]
-    coherence = np.abs(b.conj().T @ b)
-    np.fill_diagonal(coherence, 0.0)
-    return bool(np.any(coherence > SWEEP_TOL * np.outer(norms, norms)))
 
 
 def operator_svd(t):
@@ -190,19 +123,6 @@ def orthogonal_complement(basis):
         return np.zeros((n, 0), dtype=complex)
     proj = np.eye(n, dtype=complex) - basis @ basis.conj().T
     return svd_factor(proj).U[:, : n - r]
-
-
-def _complete_column(u, j):
-    """Deterministic unit vector orthogonal to the first ``j`` columns of u."""
-    m = u.shape[0]
-    basis = u[:, :j]
-    residual_sq = 1.0 - np.sum(np.abs(basis.conj().T) ** 2, axis=0)
-    best = int(np.argmax(residual_sq)) if j else 0
-    w = np.zeros(m, dtype=complex)
-    w[best] = 1.0
-    for _ in range(2):
-        w = w - basis @ (basis.conj().T @ w)
-    return w / np.linalg.norm(w)
 
 
 def _fix_phases(u, v):
@@ -324,7 +244,7 @@ def operator_pinv(t, rank_tol="auto"):
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
-    """Moore-Penrose inverse of a complex matrix via the Jacobi SVD."""
+    """Moore-Penrose inverse of a complex matrix via :func:`svd_factor`."""
     matrix = np.asarray(matrix, dtype=complex)
     return pinv_from_svd(matrix.shape, svd_factor(matrix), rank_tol)
 

@@ -2,8 +2,8 @@
 
 Oracles deliberately avoid the package's factorization path: dense algebra
 is done with plain ``numpy`` calls (``numpy.linalg.svd`` / ``pinv`` /
-``eigvalsh``) so that expected values are computed on a route independent
-of the Jacobi kernel under test.
+``eigvalsh``) on whole matrices, so expected values do not pass through the
+package's per-block factors, phase convention, caches or rank decisions.
 """
 
 import os

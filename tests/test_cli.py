@@ -225,7 +225,6 @@ def test_cmd_fuzz_generic_batch(tmp_path, capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         "fuzz", "--count", "1000", "--seed", "7", "--kinds", "generic",
-        "--jobs", "2",
     )
     assert code == 0
     assert "unflagged inconsistencies: 0" in out
@@ -249,9 +248,9 @@ def test_cmd_fuzz_machine_determinism(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["fuzz", "--count", "30", "--seed", "11", "--machine"]
     code1, out1, _ = run(capsys, *argv)
-    code2, out2, _ = run(capsys, *argv, "--jobs", "4")
+    code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical at any parallelism level
+    assert out1 == out2  # byte-identical run to run
     payload = json.loads(out1)
     assert payload["summary"]["count"] == 30
     assert payload["summary"]["inconsistent"] == 0
@@ -341,52 +340,103 @@ def test_fuzz_determinism_across_processes(tmp_path, child_env):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_fuzz_determinism_across_blas_threads(tmp_path, child_env):
+    import subprocess
+
+    argv = [
+        sys.executable,
+        "-m",
+        "cstarpinv",
+        "fuzz",
+        "--signature",
+        "2,2,3",
+        "--dims",
+        "5,6,5",
+        "--count",
+        "30",
+        "--seed",
+        "11",
+        "--machine",
+    ]
+    runs = [
+        subprocess.run(
+            argv,
+            capture_output=True,
+            cwd=tmp_path,
+            env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
+            timeout=120,
+        )
+        for threads in ("1", "2")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    payload = json.loads(runs[0].stdout)
+    assert payload["format"] == "cstarpinv-fuzz/1"
+    assert len(payload["instances"]) == 30
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_cmd_pinv_non_convergence_exit(tmp_path, capsys, monkeypatch):
     import cstarpinv.pinv as pinv_module
 
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
     rng = np.random.default_rng(8)
     path = write(tmp_path, "T.json", op1(rng.standard_normal((8, 8))))
-    monkeypatch.setattr(pinv_module, "MAX_SWEEPS", 2)
+    monkeypatch.setattr(pinv_module.np.linalg, "svd", failing)
     code, _, err = run(capsys, "pinv", path)
     assert code == 2
     assert "did not converge" in err
 
 
-# Signature [32, 1] has algebra dimension 1025, so two rows flatten to 2050,
-# just over the 2048 limit; without the guard that is a 67 MB matrix.
-OVERSIZED_SIGNATURE = AlgebraSignature((32, 1))
+# Signature [1025] has block size 1025, so two rows give a 2050x2050 block
+# matrix, just over the 2048 limit; without the guard that is a 67 MB matrix.
+OVERSIZED_SIGNATURE = AlgebraSignature((1025,))
 
 
-def test_flat_size_limit_boundary():
+def test_block_size_limit_boundary():
     from cstarpinv.errors import SizeLimitError
-    from cstarpinv.operators import MAX_FLAT_SIDE, check_flat_size
+    from cstarpinv.operators import MAX_BLOCK_SIDE, check_block_size
 
-    assert MAX_FLAT_SIDE == 2048
-    check_flat_size(AlgebraSignature((32,)), 2, 2)  # exactly 2048: allowed
+    assert MAX_BLOCK_SIDE == 2048
+    check_block_size(AlgebraSignature((1024,)), 2, 2)  # exactly 2048: allowed
+    check_block_size(AlgebraSignature((32, 1)), 62, 62)  # 62 * (32 + 1) = 2046
     with pytest.raises(SizeLimitError, match="2050x1025"):
-        check_flat_size(OVERSIZED_SIGNATURE, 2, 1)
+        check_block_size(OVERSIZED_SIGNATURE, 2, 1)
+    # many small blocks add up: 2049 blocks of size 1 at one row
+    with pytest.raises(SizeLimitError, match="2049x2049"):
+        check_block_size(AlgebraSignature((1,) * 2049), 1, 1)
 
 
 def test_cmd_fuzz_rejects_oversized_dims(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "run_fuzz", lambda *a, **k: pytest.fail("size guard missed"))
     code, out, err = run(
-        capsys, "fuzz", "--signature", "32,1", "--dims", "2,2,2", "--count", "1", "--seed", "0"
+        capsys, "fuzz", "--signature", "1025", "--dims", "2,2,2", "--count", "1", "--seed", "0"
     )
     assert code == 2
     assert out == ""
     assert "at most 2048" in err
 
 
+def test_cmd_fuzz_admits_large_blocks(tmp_path, capsys, monkeypatch):
+    # 64x64 and 2x2 block matrices: a 2050-wide flattening, never built
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "fuzz", "--signature", "32,1", "--dims", "2,2,2", "--count", "2", "--seed", "0"
+    )
+    assert code == 0, err
+    assert "unflagged inconsistencies: 0" in out
+
+
 def test_operator_file_rejects_oversized_shape(tmp_path, capsys, monkeypatch):
-    entry = [[[0.0, 0.0]] * 1024, [[1.0, 0.0]]]
-    doc = {"signature": [32, 1], "rows": 2, "cols": 1, "entries": [entry, entry]}
+    doc = {"signature": [1], "rows": 2049, "cols": 1, "entries": [[[1.0, 0.0]]] * 2049}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(OperatorFileError) as info:
         read_operator_file(str(path))
     assert info.value.field == "rows"
-    assert "2050x1025" in str(info.value)
+    assert "2049x1" in str(info.value)
     monkeypatch.setattr(cli, "moore_penrose", lambda *a, **k: pytest.fail("size guard missed"))
     code, _, err = run(capsys, "pinv", str(path))
     assert code == 2

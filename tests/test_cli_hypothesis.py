@@ -137,7 +137,7 @@ BAD_SIGNATURE = st.one_of(
     st.lists(POSITIVE, max_size=2).flatmap(lambda v: st.just(v + [0])).map(_ints),
     st.tuples(st.sampled_from(["1", "2"]), GARBAGE).map(",".join),
     st.just(""),
-    st.integers(23, 40).map(str),  # flattens wider than MAX_FLAT_SIDE at dims 4,4,4
+    st.integers(513, 2048).map(str),  # blocks wider than MAX_BLOCK_SIDE at dims 4,4,4
 )
 BAD_KINDS = st.one_of(
     st.sampled_from(["", ",", "generic,bogus", "Generic", "rol-holds", "s_adjoint,,x"]),

@@ -223,14 +223,17 @@ def test_penrose_residuals_normalization(rng):
 
 
 def test_jacobi_non_convergence_raises(monkeypatch, rng):
+    # named for the Jacobi kernel that LAPACK replaced; a LAPACK
+    # non-convergence must still surface as a FactorizationError
     import cstarpinv.pinv as pinv_module
     from cstarpinv.errors import FactorizationError
 
-    monkeypatch.setattr(pinv_module, "MAX_SWEEPS", 2)
-    with pytest.raises(FactorizationError, match="did not converge in 2 sweeps"):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(pinv_module.np.linalg, "svd", failing)
+    with pytest.raises(FactorizationError, match="SVD of a 8x8 matrix did not converge"):
         svd_factor(random_complex(rng, 8, 8))
-    # the identity needs no rotation, so one sweep certifies it
-    np.testing.assert_array_equal(svd_factor(np.eye(8)).singular_values, np.ones(8))
 
 
 def test_operator_svd_is_cached_and_read_only(rng):
@@ -269,22 +272,11 @@ def test_moore_penrose_rank_tol_on_cached_factors():
     )
 
 
-def test_sweep_limit_on_negligible_column_is_not_an_error(monkeypatch):
-    # the second column's squared norm underflows to zero, so every sweep
-    # "rotates" it by a pure phase and the kernel stops at the sweep limit
-    import cstarpinv._kernels as kernels
-    import cstarpinv.pinv as pinv_module
-
-    sweeps = []
-    original = kernels.orthogonalize_columns
-
-    def recording(*args):
-        sweeps.append(original(*args))
-        return sweeps[-1]
-
-    monkeypatch.setattr(kernels, "orthogonalize_columns", recording)
+def test_sweep_limit_on_negligible_column_is_not_an_error():
+    # the second column's squared norm underflows to zero; this stalled the
+    # Jacobi kernel at its sweep limit, and LAPACK must factor it cleanly
     tiny = 7.25651531e-244
     m = np.array([[1.0, tiny], [tiny, tiny]], dtype=complex)
     f = svd_factor(m)
-    assert sweeps == [pinv_module.MAX_SWEEPS]
     np.testing.assert_allclose(f.U @ np.diag(f.singular_values) @ f.V.conj().T, m, atol=1e-15)
+    np.testing.assert_allclose(f.singular_values[0], 1.0, rtol=1e-15)

@@ -266,17 +266,21 @@ def test_shared_pair_follows_the_right_factor(rng):
 
 
 def test_fuzz_factors_each_matrix_once(monkeypatch):
-    import cstarpinv._kernels as kernels
+    import sys
+
     from cstarpinv.cli import run_fuzz
+    from cstarpinv.pinv import svd_factor
 
     calls = []
-    original = kernels.orthogonalize_columns
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return original(*args)
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return svd_factor(matrix)
 
-    monkeypatch.setattr(kernels, "orthogonalize_columns", counting)
+    # every module that binds the name, as the package imports it by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstarpinv") and getattr(module, "svd_factor", None) is svd_factor:
+            monkeypatch.setattr(module, "svd_factor", counting)
     count = 100
     _, summary = run_fuzz((4, 4, 4), count, 1000, SIG1, ro.GENERATOR_KINDS, 1e-8)
     assert summary["inconsistent"] == 0

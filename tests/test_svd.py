@@ -1,7 +1,8 @@
-"""Backend-level tests for the Jacobi factorization kernels.
+"""Contract tests for :func:`cstarpinv.pinv.svd_factor`.
 
-`numpy.linalg.svd` serves as the independent oracle for singular values;
-orthogonality and reconstruction are checked directly.
+`numpy.linalg.svd` on the whole matrix serves as the oracle for singular
+values; orthogonality, reconstruction and the phase convention are checked
+directly.
 """
 
 import numpy as np
@@ -10,38 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import cstarpinv._kernels as kernels
-from cstarpinv._kernels.schedule import rotation_schedule
 from cstarpinv.pinv import svd_factor
 
 from conftest import random_complex
-
-BACKENDS = ["python"]
-try:
-    kernels.get_backend("compiled")
-    BACKENDS.append("compiled")
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setattr(kernels, "_backend", kernels.get_backend(request.param))
-    return request.param
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
-def test_schedule_covers_all_pairs_once(n):
-    pair_p, pair_q, offsets = rotation_schedule(n)
-    seen = set(zip(pair_p.tolist(), pair_q.tolist()))
-    assert len(seen) == len(pair_p) == n * (n - 1) // 2
-    assert seen == {(i, j) for i in range(n) for j in range(i + 1, n)}
-    # rounds touch disjoint columns, making batched application exact
-    for r in range(len(offsets) - 1):
-        cols = list(pair_p[offsets[r] : offsets[r + 1]]) + list(
-            pair_q[offsets[r] : offsets[r + 1]]
-        )
-        assert len(cols) == len(set(cols))
 
 
 def check_factorization(m, atol_scale=1e-12):
@@ -61,17 +33,17 @@ def check_factorization(m, atol_scale=1e-12):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (7, 4), (4, 7), (12, 12), (9, 2)])
-def test_random_matrices(backend, shape, rng):
+def test_random_matrices(shape, rng):
     check_factorization(random_complex(rng, *shape))
 
 
-def test_real_rank_deficient(backend):
+def test_real_rank_deficient():
     f = check_factorization(np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert f.singular_values[0] == pytest.approx(np.sqrt(2), rel=1e-15)
     assert f.singular_values[1] <= 1e-16
 
 
-def test_structured_cases(backend, rng):
+def test_structured_cases(rng):
     check_factorization(np.zeros((3, 5)))
     check_factorization(np.eye(6, dtype=complex))
     low = random_complex(rng, 8, 3) @ random_complex(rng, 3, 8)
@@ -81,7 +53,7 @@ def test_structured_cases(backend, rng):
     check_factorization(col)
 
 
-def test_extreme_scales(backend, rng):
+def test_extreme_scales(rng):
     for scale in (1e-80, 1e80):
         m = scale * random_complex(rng, 5, 5)
         f = svd_factor(m)
@@ -95,14 +67,14 @@ def _haar(n, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def test_hard_spectra(backend, rng):
+def test_hard_spectra(rng):
     n = 12
     hard = [
         # graded over many orders of magnitude
         _haar(n, rng) @ np.diag(np.logspace(0, -60, n)) @ _haar(n, rng).conj().T,
         # tight cluster of singular values
         _haar(n, rng) @ np.diag(1 + 1e-14 * np.arange(n)) @ _haar(n, rng).conj().T,
-        # graded columns (scaling the convergence test must not disturb)
+        # graded columns
         random_complex(rng, n, n) * np.logspace(0, -40, n),
         # Jordan-like, nearly defective
         np.eye(n, dtype=complex) * 0.5 + np.diag(np.ones(n - 1), 1),
@@ -119,7 +91,7 @@ def test_hard_spectra(backend, rng):
         np.testing.assert_allclose(f.singular_values, expected, atol=1e-13 * (1 + s1))
 
 
-def test_empty_matrices(backend):
+def test_empty_matrices():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         f = svd_factor(np.zeros(shape))
         assert f.U.shape == (shape[0], min(shape))
@@ -127,7 +99,7 @@ def test_empty_matrices(backend):
         assert f.singular_values.shape == (min(shape),)
 
 
-def test_determinism(backend, rng):
+def test_determinism(rng):
     m = random_complex(rng, 10, 6)
     f1 = svd_factor(m.copy())
     f2 = svd_factor(m.copy())
@@ -136,7 +108,7 @@ def test_determinism(backend, rng):
     assert np.array_equal(f1.V, f2.V)
 
 
-def test_phase_convention(backend, rng):
+def test_phase_convention(rng):
     f = svd_factor(random_complex(rng, 6, 6))
     for j in range(6):
         col = f.V[:, j]
@@ -199,10 +171,9 @@ def test_factorization_contract_extreme_magnitudes(m):
     _assert_contract(m)
 
 
-def test_subnormal_regressions(backend):
-    # found by property search: mixed subnormal/normal entries used to break
-    # V's unitarity (phases computed from subnormal coherences), overflow
-    # the scaling heuristic, or produce nan singular values
+def test_subnormal_regressions():
+    # found by property search: mixed subnormal/normal entries, entries
+    # near overflow, and columns whose squared norm underflows
     tiny = 1.71633966e-131
     m = np.full((3, 3), 1j * tiny, dtype=complex)
     m[0, 1] = tiny
@@ -211,37 +182,20 @@ def test_subnormal_regressions(backend):
     _assert_contract(np.array([[5e-324 + 2j]]))
     _assert_contract(np.array([[1.34078079e154 + 0j]]))
     _assert_contract(np.array([[8.0 + 0j, 2.22507386e-308], [2.22507386e-308, 2.22507386e-308]]))
+    # the second column's squared norm underflows
+    small = 7.25651531e-244
+    m = np.array([[1.0 + 0j, small], [small, small]])
+    _assert_contract(m)
+    f = svd_factor(m)
+    np.testing.assert_allclose(f.U @ np.diag(f.singular_values) @ f.V.conj().T, m, atol=1e-15)
     with pytest.raises(ValueError):
         svd_factor(np.array([[np.nan + 0j]]))
     with pytest.raises(ValueError):
         svd_factor(np.array([[np.inf + 0j, 1.0]]))
 
 
-def test_input_not_mutated(backend, rng):
+def test_input_not_mutated(rng):
     m = random_complex(rng, 6, 4)
     copy = m.copy()
     svd_factor(m)
     assert np.array_equal(m, copy)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
-def test_backends_agree(rng, monkeypatch):
-    for shape in [(5, 5), (8, 3), (3, 8)]:
-        m = random_complex(rng, *shape)
-        results = {}
-        for name in BACKENDS:
-            monkeypatch.setattr(kernels, "_backend", kernels.get_backend(name))
-            results[name] = svd_factor(m)
-        s1 = results["python"].singular_values[0]
-        np.testing.assert_allclose(
-            results["python"].singular_values,
-            results["compiled"].singular_values,
-            atol=1e-12 * (1 + s1),
-        )
-        # same subspaces: reconstructions must agree
-        def recon(f):
-            return f.U @ np.diag(f.singular_values) @ f.V.conj().T
-
-        np.testing.assert_allclose(
-            recon(results["python"]), recon(results["compiled"]), atol=1e-12 * (1 + s1)
-        )
