@@ -30,6 +30,11 @@ def rel_residual(lhs, rhs):
     return block_norm(delta) / (1.0 + block_norm(lhs))
 
 
+def inverse(m):
+    """Inverse of a square matrix; an empty matrix is its own inverse."""
+    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex)) if m.size else m
+
+
 def positive_finite(value):
     """Whether ``value`` is a positive finite number (NaN is not)."""
     return 0.0 < value < math.inf

@@ -1,6 +1,6 @@
 """Canonical block decompositions of an adjointable operator.
 
-Singular bases of the flattening split the domain into ``Ran(T*) (+) Ker(T)``
+The singular bases of ``T`` split the domain into ``Ran(T*) (+) Ker(T)``
 and the codomain into ``Ran(T) (+) Ker(T*)``.  Against these splits the
 operator is ``[[T1, 0], [0, 0]]`` with ``T1`` invertible, and its
 pseudoinverse is ``[[T1^-1, 0], [0, 0]]`` in the reversed bases.  Against an
@@ -11,13 +11,15 @@ block row (resp. column) and the pseudoinverse has the closed forms
     [[G^-1 T1*, G^-1 T2*], [0, 0]]     with G = T1* T1 + T2* T2,
 
 where ``D`` and ``G`` are positive and invertible on ``Ran(T)`` and
-``Ran(T*)``.  All block data live on the flattened complex representation
-(see :attr:`AdjointableOp.flat`); the identities they certify are
-representation-independent.  The operator's singular bases in flattened
-coordinates are assembled from its cached per-block SVDs
-(:func:`cstarpinv.pinv.operator_svd`), so the flattening itself is never
-factored, and its rank is the one :func:`cstarpinv.pinv.moore_penrose`
-decides.
+``Ran(T*)``.  Over ``A = (+)_i M_{n_i}(C)`` every one of these submodules
+splits per algebra block, so each form is one small decomposition per block
+matrix of the operator (see :mod:`cstarpinv.operators`): every matrix field
+holds one matrix per algebra block, the assembled pseudoinverses are
+operators, and each residual's norms are the largest over blocks, taken
+separately for the numerator and for the ``1 + ||.||`` denominator.  The
+bases come from the operator's cached block SVDs
+(:func:`cstarpinv.pinv.operator_svd`), cut at the one rank decision
+:func:`cstarpinv.pinv.moore_penrose` makes, and no flattening is built.
 """
 
 from __future__ import annotations
@@ -26,18 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import spec_norm
+from ._numeric import block_norm, inverse, rel_residual
+from .algebra import AlgebraSignature
 from .errors import InvalidDecompositionError
-from .operators import Projection, adjoint_op, compose, flat_index
-from .pinv import (
-    SvdFactors,
-    moore_penrose,
-    operator_svd,
-    orthogonal_complement,
-    pinv_from_svd,
-    rank_decision,
-    svd_factor,
-)
+from .operators import AdjointableOp, Projection, adjoint_op, compose
+from .pinv import moore_penrose, operator_pinv, operator_ranks, operator_svd, orthogonal_complement
 
 __all__ = [
     "Lemma1Form",
@@ -52,103 +47,97 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Lemma1Form:
-    """Diagonal block form against the four canonical subspaces."""
+    """Diagonal block form against the four canonical subspaces, per algebra block."""
 
-    basis_ran_Tstar: np.ndarray
-    basis_ker_T: np.ndarray
-    basis_ran_T: np.ndarray
-    basis_ker_Tstar: np.ndarray
-    T1: np.ndarray
+    signature: AlgebraSignature
+    basis_ran_Tstar: tuple
+    basis_ker_T: tuple
+    basis_ran_T: tuple
+    basis_ker_Tstar: tuple
+    T1: tuple
     reconstruction_residual: float
 
     def assemble_pinv(self):
-        """Flattened pseudoinverse rebuilt as ``V1 T1^-1 U1^H``."""
-        r = self.T1.shape[0]
-        if r == 0:
-            rows = self.basis_ran_Tstar.shape[0]
-            cols = self.basis_ran_T.shape[0]
-            return np.zeros((rows, cols), dtype=complex)
-        t1_inv = np.linalg.solve(self.T1, np.eye(r, dtype=complex))
-        return self.basis_ran_Tstar @ t1_inv @ self.basis_ran_T.conj().T
+        """The pseudoinverse rebuilt as ``V1 T1^-1 U1^H`` on every block."""
+        return AdjointableOp.from_blocks(
+            self.signature,
+            [
+                v1 @ inverse(t1) @ u1.conj().T
+                for v1, t1, u1 in zip(self.basis_ran_Tstar, self.T1, self.basis_ran_T)
+            ],
+        )
 
 
 def lemma1_form(t, rank_tol="auto"):
-    """Extract the canonical diagonal form from the flattening of ``t``.
+    """Extract the canonical diagonal form of ``t``.
 
-    The zero operator is allowed and yields an empty ``T1``.
+    The zero operator is allowed and yields empty ``T1`` blocks.
     """
-    flat = t.flat
-    f = _flat_svd(t)
-    rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
-    u1, u2 = f.U[:, :rank], orthogonal_complement(f.U[:, :rank])
-    v1, v2 = f.V[:, :rank], orthogonal_complement(f.V[:, :rank])
-    t1 = u1.conj().T @ flat @ v1
-    transformed = np.concatenate([u1, u2], axis=1).conj().T @ flat @ np.concatenate(
-        [v1, v2], axis=1
-    )
-    off = transformed.copy()
+    per_block = [
+        _lemma1_block(*parts)
+        for parts in zip(t.blocks, operator_svd(t), operator_ranks(t, rank_tol).ranks)
+    ]
+    v1, v2, u1, u2, t1, off = zip(*per_block)
+    residual = block_norm(off) / (1.0 + block_norm(t.blocks))
+    return Lemma1Form(t.signature, v1, v2, u1, u2, t1, residual)
+
+
+def _lemma1_block(m, f, rank):
+    """Bases, ``T1`` and the part of ``m`` outside ``T1`` for one algebra block."""
+    u1, v1 = f.U[:, :rank], f.V[:, :rank]
+    u2, v2 = orthogonal_complement(u1), orthogonal_complement(v1)
+    t1 = u1.conj().T @ m @ v1
+    off = np.concatenate([u1, u2], axis=1).conj().T @ m @ np.concatenate([v1, v2], axis=1)
     off[:rank, :rank] -= t1
-    residual = spec_norm(off) / (1.0 + spec_norm(flat))
-    return Lemma1Form(v1, v2, u1, u2, t1, residual)
-
-
-def _flat_svd(t):
-    """SVD of ``t.flat`` assembled from the cached per-block SVDs.
-
-    The flattening is ``(+)_i kron(I_{n_i}, T_i)`` under the index map of
-    :func:`cstarpinv.operators.flat_index`, so every singular triplet of
-    ``T_i`` appears ``n_i`` times, once per copy.  The map keeps the order
-    of each block's rows and columns, so ``V``'s phase convention carries
-    over.
-    """
-    rows, cols = t.flat_shape
-    row_index = flat_index(t.signature, t.rows)
-    col_index = flat_index(t.signature, t.cols)
-    us, ss, vs = [], [], []
-    for f, row_copies, col_copies in zip(operator_svd(t), row_index, col_index):
-        for r, c in zip(row_copies, col_copies):
-            u = np.zeros((rows, f.U.shape[1]), dtype=complex)
-            v = np.zeros((cols, f.V.shape[1]), dtype=complex)
-            u[r] = f.U
-            v[c] = f.V
-            us.append(u)
-            vs.append(v)
-            ss.append(f.singular_values)
-    s = np.concatenate(ss)
-    order = np.argsort(-s, kind="stable")
-    return SvdFactors(np.hstack(us)[:, order], s[order], np.hstack(vs)[:, order])
-
-
-def _codomain_split(t, rank_tol):
-    f = _flat_svd(t)
-    rank, _, _ = rank_decision(t.flat_shape, f.singular_values, rank_tol)
-    return f.U[:, :rank], orthogonal_complement(f.U[:, :rank]), f, rank
+    return v1, v2, u1, u2, t1, off
 
 
 def _projection_bases(p_op):
-    """Orthonormal bases of the range and kernel of a projection.
+    """Per-block orthonormal bases ``(W1, W2)`` of the range and kernel of a projection.
 
-    ``p_op`` is validated as a :class:`Projection` (at 1e-8).
+    ``p_op`` is validated as a :class:`Projection` (at 1e-8); its bases come
+    from its own cached block SVDs.
     """
-    p = Projection(p_op).op.flat
-    f = svd_factor(p)
-    # Spectrum of a projection is {0, 1}; 1/2 separates the clusters.
-    rank = int(np.count_nonzero(f.singular_values > 0.5))
-    return f.U[:, :rank], orthogonal_complement(f.U[:, :rank])
+    Projection(p_op)
+    bases = []
+    for f in operator_svd(p_op):
+        # Spectrum of a projection is {0, 1}; 1/2 separates the clusters.
+        w1 = f.U[:, : int(np.count_nonzero(f.singular_values > 0.5))]
+        bases.append((w1, orthogonal_complement(w1)))
+    return bases
+
+
+def _split_form(t, p_op, rank_tol, form_block):
+    """Fields of a block-row or block-column form, in dataclass order.
+
+    ``form_block(m, f, rank, (W1, W2))`` returns ``T1, T2``, the Gram block,
+    the pseudoinverse formula, ``W1, W2`` and the canonical basis of one
+    algebra block; the formula is compared with the SVD pseudoinverse.
+    """
+    bases = _projection_bases(p_op)
+    reference = operator_pinv(t, rank_tol)
+    per_block = [
+        form_block(*parts)
+        for parts in zip(t.blocks, operator_svd(t), reference.decision.ranks, bases)
+    ]
+    t1, t2, gram, formula, w1, w2, basis = zip(*per_block)
+    residual = rel_residual(reference.blocks, formula)
+    formula = AdjointableOp.from_blocks(t.signature, formula)
+    return t1, t2, gram, formula, residual, w1, w2, basis
 
 
 @dataclass(frozen=True)
 class RowBlockForm:
-    """Block-row form of ``t`` against a split of its domain."""
+    """Block-row form of ``t`` against a split of its domain, per algebra block."""
 
-    T1: np.ndarray
-    T2: np.ndarray
-    D: np.ndarray
-    pinv_formula: np.ndarray
+    T1: tuple
+    T2: tuple
+    D: tuple
+    pinv_formula: AdjointableOp
     residual_vs_pinv: float
-    domain_basis_1: np.ndarray
-    domain_basis_2: np.ndarray
-    range_basis: np.ndarray
+    domain_basis_1: tuple
+    domain_basis_2: tuple
+    range_basis: tuple
 
 
 def row_block_form(t, p, rank_tol="auto"):
@@ -162,34 +151,31 @@ def row_block_form(t, p, rank_tol="auto"):
     p_op = p.op if isinstance(p, Projection) else p
     if p_op.rows != p_op.cols or p_op.cols != t.cols or p_op.signature != t.signature:
         raise InvalidDecompositionError("projection must act on the domain of t")
-    w1, w2 = _projection_bases(p_op)
-    flat = t.flat
-    u1, _, f, rank = _codomain_split(t, rank_tol)
-    t1 = u1.conj().T @ flat @ w1
-    t2 = u1.conj().T @ flat @ w2
+    return RowBlockForm(*_split_form(t, p_op, rank_tol, _row_block))
+
+
+def _row_block(m, f, rank, bases):
+    w1, w2 = bases
+    u1 = f.U[:, :rank]
+    t1 = u1.conj().T @ m @ w1
+    t2 = u1.conj().T @ m @ w2
     d = t1 @ t1.conj().T + t2 @ t2.conj().T
-    if rank == 0:
-        formula = np.zeros((flat.shape[1], flat.shape[0]), dtype=complex)
-    else:
-        d_inv = np.linalg.solve(d, np.eye(rank, dtype=complex))
-        formula = (w1 @ t1.conj().T + w2 @ t2.conj().T) @ d_inv @ u1.conj().T
-    reference = pinv_from_svd(flat.shape, f, rank_tol).pinv
-    residual = spec_norm(formula - reference) / (1.0 + spec_norm(reference))
-    return RowBlockForm(t1, t2, d, formula, residual, w1, w2, u1)
+    formula = (w1 @ t1.conj().T + w2 @ t2.conj().T) @ inverse(d) @ u1.conj().T
+    return t1, t2, d, formula, w1, w2, u1
 
 
 @dataclass(frozen=True)
 class ColBlockForm:
-    """Block-column form of ``t`` against a split of its codomain."""
+    """Block-column form of ``t`` against a split of its codomain, per algebra block."""
 
-    T1: np.ndarray
-    T2: np.ndarray
-    Dfrak: np.ndarray
-    pinv_formula: np.ndarray
+    T1: tuple
+    T2: tuple
+    Dfrak: tuple
+    pinv_formula: AdjointableOp
     residual_vs_pinv: float
-    codomain_basis_1: np.ndarray
-    codomain_basis_2: np.ndarray
-    corange_basis: np.ndarray
+    codomain_basis_1: tuple
+    codomain_basis_2: tuple
+    corange_basis: tuple
 
 
 def col_block_form(t, q, rank_tol="auto"):
@@ -202,22 +188,17 @@ def col_block_form(t, q, rank_tol="auto"):
     q_op = q.op if isinstance(q, Projection) else q
     if q_op.rows != q_op.cols or q_op.cols != t.rows or q_op.signature != t.signature:
         raise InvalidDecompositionError("projection must act on the codomain of t")
-    w1, w2 = _projection_bases(q_op)
-    flat = t.flat
-    f = _flat_svd(t)
-    rank, _, _ = rank_decision(flat.shape, f.singular_values, rank_tol)
+    return ColBlockForm(*_split_form(t, q_op, rank_tol, _col_block))
+
+
+def _col_block(m, f, rank, bases):
+    w1, w2 = bases
     v1 = f.V[:, :rank]
-    t1 = w1.conj().T @ flat @ v1
-    t2 = w2.conj().T @ flat @ v1
+    t1 = w1.conj().T @ m @ v1
+    t2 = w2.conj().T @ m @ v1
     g = t1.conj().T @ t1 + t2.conj().T @ t2
-    if rank == 0:
-        formula = np.zeros((flat.shape[1], flat.shape[0]), dtype=complex)
-    else:
-        g_inv = np.linalg.solve(g, np.eye(rank, dtype=complex))
-        formula = v1 @ g_inv @ (t1.conj().T @ w1.conj().T + t2.conj().T @ w2.conj().T)
-    reference = pinv_from_svd(flat.shape, f, rank_tol).pinv
-    residual = spec_norm(formula - reference) / (1.0 + spec_norm(reference))
-    return ColBlockForm(t1, t2, g, formula, residual, w1, w2, v1)
+    formula = v1 @ inverse(g) @ (t1.conj().T @ w1.conj().T + t2.conj().T @ w2.conj().T)
+    return t1, t2, g, formula, w1, w2, v1
 
 
 def pinv_via_gram(t):

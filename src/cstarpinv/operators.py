@@ -9,7 +9,9 @@ matrices, read-only, in ``blocks``; products, adjoints, norms and all
 numerics run block by block, and an operator norm is the largest norm over
 blocks.
 
-Two derived views are built on demand and never on the hot paths:
+Two derived views are built on demand, for importing and exporting only;
+no computation in the package builds either, and this module is the only
+one that builds or indexes a flattening:
 
 * ``flat``, the faithful complex flattening in which algebra entry ``a``
   contributes, per algebra block of size ``n``, the ``n^2 x n^2`` matrix

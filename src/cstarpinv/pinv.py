@@ -48,7 +48,6 @@ __all__ = [
     "MatrixPinv",
     "BlockPinv",
     "pinv_matrix",
-    "pinv_from_svd",
     "pinv_blocks",
     "operator_pinv",
     "moore_penrose",
@@ -244,19 +243,15 @@ def operator_pinv(t, rank_tol="auto"):
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
-    """Moore-Penrose inverse of a complex matrix via :func:`svd_factor`."""
-    matrix = np.asarray(matrix, dtype=complex)
-    return pinv_from_svd(matrix.shape, svd_factor(matrix), rank_tol)
-
-
-def pinv_from_svd(shape, f, rank_tol="auto"):
-    """Moore-Penrose inverse of a ``shape`` matrix from its SVD factors ``f``.
+    """Moore-Penrose inverse of a complex matrix via :func:`svd_factor`.
 
     Retains singular values above the :func:`rank_decision` cutoff and
     inverts them on the factor bases.
     """
+    matrix = np.asarray(matrix, dtype=complex)
+    f = svd_factor(matrix)
     s = f.singular_values
-    rank, cutoff, flag = rank_decision(shape, s, rank_tol)
+    rank, cutoff, flag = rank_decision(matrix.shape, s, rank_tol)
     return MatrixPinv(_pinv_from_factors(f, rank), rank, s, cutoff, flag)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance, rel_residual
+from ._numeric import block_norm, check_tolerance, inverse, rel_residual
 from .algebra import AlgebraSignature
 from .errors import (
     ConformabilityError,
@@ -294,7 +294,9 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     ``S`` must be nonzero so that ``S1`` is a nonempty invertible block.
     The canonical coordinates are taken per algebra block, from the cached
     block SVDs and one rank decision per operator; each residual's norms
-    are the largest over blocks.
+    are the largest over blocks.  The report is flagged when the pair's
+    certificate is (a fragile rank of ``T``, ``S`` or ``TS``) or when the
+    rank decision on ``T1 S1`` is fragile.
     """
     check_tolerance(tol, "tol")
     if t_op.signature != s_op.signature:
@@ -327,9 +329,9 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
         lhs = [a for a, _ in terms]
         rhs = None if terms[0][1] is None else [b for _, b in terms]
         residuals.append(float(rel_residual(lhs, rhs)))
-    flag = (
-        s_ranks.boundary_flag or t_ranks.boundary_flag or ts1_mp.decision.boundary_flag
-    )
+    # The pair's flag covers the decisions on T, S and TS.  T1 S1 keeps the
+    # rounding noise of TS as rank, so its own decision can miss a flag on TS.
+    flag = _pair(t_op, s_op).boundary_flag or ts1_mp.decision.boundary_flag
     return BlockConditionReport(*residuals, bool(flag), float(tol))
 
 
@@ -346,16 +348,12 @@ def _reduce_block(t, s, ft, fs, rank_t, rank_s):
     return ut1.conj().T @ t @ us1, ut1.conj().T @ t @ us2, s1
 
 
-def _inverse(m):
-    return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex)) if m.size else m
-
-
 def _block_terms(t1, t2, s1, p_ts1):
     """``(lhs, rhs)`` of the eight block residuals on one algebra block, in
     the order of :class:`BlockConditionReport`; ``rhs`` is ``None`` for an
     identity ``lhs == 0``."""
-    d_inv = _inverse(t1 @ t1.conj().T + t2 @ t2.conj().T)
-    s1_inv = _inverse(s1)
+    d_inv = inverse(t1 @ t1.conj().T + t2 @ t2.conj().T)
+    s1_inv = inverse(s1)
     ts1 = t1 @ s1
     t1t1 = t1 @ t1.conj().T
     s1s1 = s1 @ s1.conj().T

@@ -160,6 +160,20 @@ def test_block_conditions_agree_generic(rng):
     assert matched >= 50
 
 
+def test_block_report_flagged_with_its_pair():
+    # TS has rank 1 with one rounding-noise value in the boundary band, and
+    # T1 S1 keeps that noise as rank: d1 reads 0.5 while triple B holds to
+    # ~1e-15.  An unflagged report must agree with both triples.
+    t, s = gen_instance("thm22_only", (4, 4, 4), seed=23000143)
+    report = block_conditions(t, s)  # before the certificate caches the pair
+    cert = check_corollary(t, s)
+    assert cert.boundary_flag
+    assert report.boundary_flag or (
+        report.thm21_verdicts() == tuple(c.verdict for c in cert.thm21)
+        and report.thm22_verdicts() == tuple(c.verdict for c in cert.thm22)
+    )
+
+
 def test_block_conditions_failure_pair():
     report = block_conditions(op1(FAILS_T), op1(FAILS_S))
     assert report.c2 > 1e-8  # T2* T1 is far from zero
