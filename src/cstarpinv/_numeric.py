@@ -26,8 +26,9 @@ def rel_residual(lhs, rhs):
     being tested; pass ``None`` for ``rhs`` to measure an identity of the
     form ``lhs == 0``.
     """
-    delta = lhs if rhs is None else [a - b for a, b in zip(lhs, rhs)]
-    return block_norm(delta) / (1.0 + block_norm(lhs))
+    lhs_norm = block_norm(lhs)
+    delta_norm = lhs_norm if rhs is None else block_norm([a - b for a, b in zip(lhs, rhs)])
+    return delta_norm / (1.0 + lhs_norm)
 
 
 def inverse(m):

@@ -18,8 +18,6 @@ __all__ = [
     "AlgebraSignature",
     "AlgebraElement",
     "elem_mul",
-    "elem_add",
-    "elem_sub",
     "elem_scale",
     "elem_adjoint",
     "elem_norm",
@@ -156,14 +154,6 @@ def elem_mul(a, b):
     """Block-wise matrix product ``a @ b``."""
     _check_same_signature(a, b)
     return AlgebraElement(a.signature, [x @ y for x, y in zip(a.blocks, b.blocks)])
-
-
-def elem_add(a, b):
-    return a + b
-
-
-def elem_sub(a, b):
-    return a - b
 
 
 def elem_scale(a, scalar):

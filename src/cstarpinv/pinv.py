@@ -13,7 +13,7 @@ of the flattening (each block's singular values repeated ``n_i`` times,
 sorted descending): the cutoff is ``max(m, n) * eps * sigma_1`` for the
 flattened ``m x n`` shape and the largest singular value over all blocks,
 and the boundary band is checked on every block (see
-:func:`block_rank_decision`).  The pseudoinverse is built block by block
+:func:`operator_ranks`).  The pseudoinverse is built block by block
 from the retained singular triplets, so it is module-linear by
 construction.
 
@@ -42,13 +42,11 @@ __all__ = [
     "orthogonal_complement",
     "rank_decision",
     "RankDecision",
-    "block_rank_decision",
     "operator_ranks",
     "PinvResult",
     "MatrixPinv",
     "BlockPinv",
     "pinv_matrix",
-    "pinv_blocks",
     "operator_pinv",
     "moore_penrose",
     "ThetaClassReport",
@@ -175,11 +173,11 @@ def rank_decision(shape, singular_values, rank_tol="auto"):
 
 @dataclass(frozen=True)
 class RankDecision:
-    """One rank decision for a block-diagonal matrix ``(+)_i kron(I_{n_i}, M_i)``.
+    """One rank decision for a module operator.
 
-    ``ranks`` counts the retained singular values of each block ``M_i``;
+    ``ranks`` counts the retained singular values of each block matrix;
     ``rank``, ``singular_values``, ``cutoff`` and ``boundary_flag`` are those
-    of the whole matrix.
+    of the flattening.
     """
 
     ranks: tuple
@@ -189,26 +187,24 @@ class RankDecision:
     boundary_flag: bool
 
 
-def block_rank_decision(shape, factors, sizes, rank_tol="auto"):
-    """:func:`rank_decision` for ``(+)_i kron(I_{n_i}, M_i)`` from the SVDs of the ``M_i``.
+def operator_ranks(t, rank_tol="auto"):
+    """The rank decision of a module operator, on its cached block SVDs.
 
-    ``shape`` is the shape of the whole matrix, and its spectrum is each
-    block's singular values repeated ``n_i`` times, sorted descending, so
-    the cutoff, the rank and the boundary flag are exactly those of a
-    decision on the whole matrix.  Each block retains its singular values
+    :func:`rank_decision` runs on the spectrum of the flattening, each
+    block's singular values repeated ``n_i`` times and sorted descending,
+    so the cutoff, the rank and the boundary flag are exactly those of a
+    decision on the flattening.  Each block retains its singular values
     above the common cutoff.
     """
+    factors = operator_svd(t)
     spectrum = -np.sort(
-        -np.concatenate([np.repeat(f.singular_values, n) for f, n in zip(factors, sizes)])
+        -np.concatenate(
+            [np.repeat(f.singular_values, n) for f, n in zip(factors, t.signature.block_sizes)]
+        )
     )
-    rank, cutoff, flag = rank_decision(shape, spectrum, rank_tol)
+    rank, cutoff, flag = rank_decision(t.flat_shape, spectrum, rank_tol)
     ranks = tuple(int(np.count_nonzero(f.singular_values > cutoff)) for f in factors)
     return RankDecision(ranks, rank, spectrum, cutoff, flag)
-
-
-def operator_ranks(t, rank_tol="auto"):
-    """The rank decision of a module operator, on its cached block SVDs."""
-    return block_rank_decision(t.flat_shape, operator_svd(t), t.signature.block_sizes, rank_tol)
 
 
 def _pinv_from_factors(f, rank):
@@ -225,21 +221,15 @@ class BlockPinv:
     decision: RankDecision
 
 
-def pinv_blocks(shape, factors, sizes, rank_tol="auto"):
-    """Pseudoinverse of ``(+)_i kron(I_{n_i}, M_i)``, block by block.
-
-    Arguments are those of :func:`block_rank_decision`; each block keeps
-    the singular values above the common cutoff and inverts them on its
-    factor bases.
-    """
-    decision = block_rank_decision(shape, factors, sizes, rank_tol)
-    blocks = tuple(_pinv_from_factors(f, r) for f, r in zip(factors, decision.ranks))
-    return BlockPinv(blocks, decision)
-
-
 def operator_pinv(t, rank_tol="auto"):
-    """Per-block pseudoinverse of a module operator from its cached SVDs."""
-    return pinv_blocks(t.flat_shape, operator_svd(t), t.signature.block_sizes, rank_tol)
+    """Per-block pseudoinverse of a module operator from its cached SVDs.
+
+    Each block keeps the singular values above the common cutoff of
+    :func:`operator_ranks` and inverts them on its factor bases.
+    """
+    decision = operator_ranks(t, rank_tol)
+    blocks = tuple(_pinv_from_factors(f, r) for f, r in zip(operator_svd(t), decision.ranks))
+    return BlockPinv(blocks, decision)
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
@@ -272,7 +262,7 @@ def moore_penrose(t, rank_tol="auto"):
 
     Computed block by block from the cached block SVDs (see
     :func:`operator_svd`) with one rank decision for the operator (see
-    :func:`block_rank_decision`); ``rank``, ``singular_values`` and
+    :func:`operator_ranks`); ``rank``, ``singular_values`` and
     ``cutoff`` are those of the flattening.  The four reported residuals
     correspond to the defining equations ``TXT = T``, ``XTX = X``,
     ``(TX)* = TX`` and ``(XT)* = XT``.
@@ -287,11 +277,9 @@ def moore_penrose(t, rank_tol="auto"):
 def penrose_residuals(t, x):
     """Relative residuals of the four defining equations.
 
-    ``t`` and ``x`` are matrices, or sequences of the per-block matrices of
-    two block-diagonal ones; every norm is then the largest over blocks.
+    ``t`` and ``x`` are sequences of the per-block matrices of two
+    block-diagonal matrices; every norm is the largest over blocks.
     """
-    if isinstance(t, np.ndarray):
-        t, x = (t,), (x,)
     tx = [a @ b for a, b in zip(t, x)]
     xt = [b @ a for a, b in zip(t, x)]
     r1 = rel_residual(t, [p @ a for p, a in zip(tx, t)])

@@ -19,13 +19,17 @@ Every identity is evaluated block by block on the operators' per-block
 matrices (see :mod:`cstarpinv.operators`): each norm in a residual is the
 largest over blocks, taken separately for the numerator and for the
 ``1 + ||.||`` denominator, which is the spectral norm on the flattening.
-All checks of one pair share a single set of block matrices and
-pseudoinverses: it is cached on ``T`` for the last ``S`` it was paired with
-(matched by identity), and built from the operators' cached SVDs, so
-generation's verification, :func:`check_corollary`, the triple checks and
-:func:`block_conditions` factor ``T``, ``S`` and ``TS`` once between them.
-The shared data depend on neither ``tol`` nor anything else, so sharing
-leaves every residual unchanged.
+All checks of one pair read one shared set of data: the block matrices and
+pseudoinverses of ``T``, ``S`` and ``TS``, and the residual of every
+identity of the certificate, each evaluated once when the pair is built.
+It is cached on ``T`` for the last ``S`` it was paired with (matched by
+identity) and built from the operators' cached SVDs, so generation's
+verification, :func:`check_corollary`, the triple checks and
+:func:`block_conditions` factor ``T``, ``S`` and ``TS`` once between them,
+and a certificate at a second tolerance evaluates no residual.  The block
+conditions make no rank decision of their own: ``(T1 S1)^+`` is read from
+the pair's ``(TS)^+``.  The shared data depend on neither ``tol`` nor
+anything else, so sharing leaves every residual unchanged.
 
 In infinite dimensions these equivalences require the ranges of ``T``,
 ``S`` and ``TS`` to be closed (equivalently, the pseudoinverses to be
@@ -53,8 +57,6 @@ from .pinv import (
     operator_svd,
     orthogonal_complement,
     penrose_residuals,
-    pinv_blocks,
-    svd_factor,
 )
 from .sampling import random_operator, random_operator_with_rank
 
@@ -97,7 +99,8 @@ class RolCertificate:
 
 @dataclass(frozen=True)
 class _PairBlock:
-    """One algebra block of a pair: ``T``, ``S``, ``TS`` and their pseudoinverses."""
+    """One algebra block of a pair: ``T``, ``S``, ``TS``, their
+    pseudoinverses and the candidate ``X = S^+ T^+``."""
 
     t: np.ndarray
     s: np.ndarray
@@ -105,13 +108,19 @@ class _PairBlock:
     tp: np.ndarray
     sp: np.ndarray
     tsp: np.ndarray
+    x: np.ndarray
 
 
 class _Pair:
-    """Shared block matrices and pseudoinverses for one (T, S) pair.
+    """Everything the checks of one (T, S) pair read, computed once.
 
-    Obtain it through :func:`_pair`, which shares one per pair; its arrays
-    are read-only.
+    The block matrices and pseudoinverses of ``T``, ``S`` and ``TS``, the
+    rank decisions of ``T`` and ``S``, and the residual of every identity of
+    the certificate: the law, the two equations of each triple, the four
+    Penrose residuals of ``(TS, X)`` and both Greville inclusions.  A
+    certificate at any tolerance only compares these residuals with it (see
+    :func:`_certificate`).  Obtain a pair through :func:`_pair`, which
+    shares one per pair; its arrays are read-only.
     """
 
     def __init__(self, t_op, s_op):
@@ -123,19 +132,40 @@ class _Pair:
             )
         ts_op = compose(t_op, s_op)
         t_mp, s_mp, ts_mp = (operator_pinv(op) for op in (t_op, s_op, ts_op))
-        for array in t_mp.blocks + s_mp.blocks + ts_mp.blocks:
-            array.flags.writeable = False
-        self.blocks = tuple(
-            _PairBlock(*parts)
-            for parts in zip(
+        self.blocks = blocks = tuple(
+            _PairBlock(t, s, ts, tp, sp, tsp, sp @ tp)
+            for t, s, ts, tp, sp, tsp in zip(
                 t_op.blocks, s_op.blocks, ts_op.blocks, t_mp.blocks, s_mp.blocks, ts_mp.blocks
             )
         )
+        for b in blocks:
+            for array in (b.tp, b.sp, b.tsp, b.x):
+                array.flags.writeable = False
+        self.t_decision = t_mp.decision
+        self.s_decision = s_mp.decision
         self.boundary_flag = (
             t_mp.decision.boundary_flag
             or s_mp.decision.boundary_flag
             or ts_mp.decision.boundary_flag
         )
+
+        self.residual_rol = rel_residual([b.tsp for b in blocks], [b.x for b in blocks])
+        self.penrose = penrose_residuals([b.ts for b in blocks], [b.x for b in blocks])
+        t_ts = [b.t.conj().T @ b.ts for b in blocks]
+        ts_s = [b.ts @ b.s.conj().T for b in blocks]
+        self.thm21 = (
+            rel_residual([b.ts @ b.tsp for b in blocks], [b.ts @ b.sp @ b.tp for b in blocks]),
+            rel_residual(t_ts, [b.s @ (b.sp @ a) for b, a in zip(blocks, t_ts)]),
+        )
+        self.thm22 = (
+            rel_residual([b.tsp @ b.ts for b in blocks], [b.x @ b.ts for b in blocks]),
+            rel_residual(ts_s, [a @ b.tp @ b.t for b, a in zip(blocks, ts_s)]),
+        )
+        g1 = range_inclusion_residual(t_ts, [b.s for b in blocks], [b.sp for b in blocks])
+        g2_target = [b.s @ b.s.conj().T @ b.t.conj().T for b in blocks]
+        # Ran(T*) projector is (T^+ T); avoids factoring T* separately.
+        g2 = rel_residual(g2_target, [b.tp @ (b.t @ g) for b, g in zip(blocks, g2_target)])
+        self.greville = (g1, g2)
 
 
 def _pair(t_op, s_op):
@@ -152,74 +182,21 @@ def _check(residual, tol):
     return ConditionCheck(float(residual), bool(residual <= tol))
 
 
-def _theta_check(pair, which, tol):
-    blocks = pair.blocks
-    residuals = penrose_residuals([b.ts for b in blocks], [b.sp @ b.tp for b in blocks])
-    picked = [residuals[i - 1] for i in which]
+def _theta_check(penrose, which, tol):
+    picked = [penrose[i - 1] for i in which]
     return ConditionCheck(float(max(picked)), bool(all(r <= tol for r in picked)))
 
 
-def _thm21_checks(pair, tol):
-    blocks = pair.blocks
-    lhs1 = [b.ts @ b.tsp for b in blocks]
-    rhs1 = [b.ts @ b.sp @ b.tp for b in blocks]
-    lhs2 = [b.t.conj().T @ b.ts for b in blocks]
-    rhs2 = [b.s @ (b.sp @ lhs) for b, lhs in zip(blocks, lhs2)]
-    return (
-        _check(rel_residual(lhs1, rhs1), tol),
-        _check(rel_residual(lhs2, rhs2), tol),
-        _theta_check(pair, (1, 2, 3), tol),
+def _certificate(pair, tol):
+    """The certificate of a pair at ``tol``, from the residuals the pair holds."""
+    thm21 = tuple(_check(r, tol) for r in pair.thm21) + (
+        _theta_check(pair.penrose, (1, 2, 3), tol),
     )
-
-
-def _thm22_checks(pair, tol):
-    blocks = pair.blocks
-    lhs1 = [b.tsp @ b.ts for b in blocks]
-    rhs1 = [b.sp @ b.tp @ b.ts for b in blocks]
-    lhs2 = [b.ts @ b.s.conj().T for b in blocks]
-    rhs2 = [lhs @ b.tp @ b.t for b, lhs in zip(blocks, lhs2)]
-    return (
-        _check(rel_residual(lhs1, rhs1), tol),
-        _check(rel_residual(lhs2, rhs2), tol),
-        _theta_check(pair, (1, 2, 4), tol),
+    thm22 = tuple(_check(r, tol) for r in pair.thm22) + (
+        _theta_check(pair.penrose, (1, 2, 4), tol),
     )
-
-
-def check_thm21(t_op, s_op, tol=DEFAULT_TOL):
-    """Residual/verdict pairs for the three conditions of triple A."""
-    check_tolerance(tol, "tol")
-    return _thm21_checks(_pair(t_op, s_op), tol)
-
-
-def check_thm22(t_op, s_op, tol=DEFAULT_TOL):
-    """Residual/verdict pairs for the three conditions of triple B."""
-    check_tolerance(tol, "tol")
-    return _thm22_checks(_pair(t_op, s_op), tol)
-
-
-def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
-    """Full certificate: reverse order law, both triples, both inclusions.
-
-    ``consistent`` asserts the equivalences: the three verdicts inside each
-    triple agree, and (law holds) == (triple A and triple B hold) == (both
-    range inclusions hold).  The assertion is only meaningful when
-    ``boundary_flag`` is unset.
-    """
-    check_tolerance(tol, "tol")
-    pair = _pair(t_op, s_op)
-    thm21 = _thm21_checks(pair, tol)
-    thm22 = _thm22_checks(pair, tol)
-
-    blocks = pair.blocks
-    residual_rol = rel_residual([b.tsp for b in blocks], [b.sp @ b.tp for b in blocks])
-    rol_verdict = residual_rol <= tol
-
-    g1_target = [b.t.conj().T @ b.ts for b in blocks]
-    g1 = range_inclusion_residual(g1_target, [b.s for b in blocks], [b.sp for b in blocks])
-    g2_target = [b.s @ b.s.conj().T @ b.t.conj().T for b in blocks]
-    # Ran(T*) projector is (T^+ T); avoids factoring T* separately.
-    g2 = rel_residual(g2_target, [b.tp @ (b.t @ g) for b, g in zip(blocks, g2_target)])
-    greville = (_check(g1, tol), _check(g2, tol))
+    greville = tuple(_check(r, tol) for r in pair.greville)
+    rol_verdict = pair.residual_rol <= tol
 
     agree21 = len({c.verdict for c in thm21}) == 1
     agree22 = len({c.verdict for c in thm22}) == 1
@@ -233,7 +210,7 @@ def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
         and rol_verdict == both_greville
     )
     return RolCertificate(
-        float(residual_rol),
+        float(pair.residual_rol),
         bool(rol_verdict),
         thm21,
         thm22,
@@ -244,6 +221,30 @@ def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
     )
 
 
+def check_thm21(t_op, s_op, tol=DEFAULT_TOL):
+    """Residual/verdict pairs for the three conditions of triple A."""
+    check_tolerance(tol, "tol")
+    return _certificate(_pair(t_op, s_op), tol).thm21
+
+
+def check_thm22(t_op, s_op, tol=DEFAULT_TOL):
+    """Residual/verdict pairs for the three conditions of triple B."""
+    check_tolerance(tol, "tol")
+    return _certificate(_pair(t_op, s_op), tol).thm22
+
+
+def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
+    """Full certificate: reverse order law, both triples, both inclusions.
+
+    ``consistent`` asserts the equivalences: the three verdicts inside each
+    triple agree, and (law holds) == (triple A and triple B hold) == (both
+    range inclusions hold).  The assertion is only meaningful when
+    ``boundary_flag`` is unset.
+    """
+    check_tolerance(tol, "tol")
+    return _certificate(_pair(t_op, s_op), tol)
+
+
 @dataclass(frozen=True)
 class BlockConditionReport:
     """Proof-level residuals in the canonical coordinates of the pair.
@@ -251,8 +252,9 @@ class BlockConditionReport:
     ``S`` is reduced to its invertible block ``S1`` between ``Ran(S*)`` and
     ``Ran(S)``; ``T`` is written as a block row ``[T1, T2]`` against
     ``Ran(S) (+) Ker(S*)`` into ``Ran(T)``, with ``D = T1 T1* + T2 T2*``.
-    The c-residuals are the proof equivalents of triple A, the d-residuals
-    of triple B:
+    ``(T1 S1)^+`` is the pair's ``(TS)^+`` written in these bases, and
+    ``boundary_flag`` is the pair's certificate flag.  The c-residuals are
+    the proof equivalents of triple A, the d-residuals of triple B:
 
     * c1: ``T1 S1 (T1 S1)^+ - T1 T1* D^-1``
     * c2: ``T2* T1``
@@ -292,60 +294,50 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     """Evaluate the eight proof-level block residuals for a pair.
 
     ``S`` must be nonzero so that ``S1`` is a nonempty invertible block.
-    The canonical coordinates are taken per algebra block, from the cached
-    block SVDs and one rank decision per operator; each residual's norms
-    are the largest over blocks.  The report is flagged when the pair's
-    certificate is (a fragile rank of ``T``, ``S`` or ``TS``) or when the
-    rank decision on ``T1 S1`` is fragile.
+    Everything is read from the pair's shared data (see :class:`_Pair`):
+    the canonical coordinates come from the cached block SVDs of ``T`` and
+    ``S`` cut at the pair's rank decisions, and ``(T1 S1)^+`` is the pair's
+    ``(TS)^+`` in those coordinates, since ``T1 S1`` is ``TS`` between
+    ``Ran(S*)`` and ``Ran(T)``.  Each residual's norms are the largest over
+    blocks, and the report carries the pair's flag (a fragile rank of
+    ``T``, ``S`` or ``TS``), the certificate's flag.
     """
     check_tolerance(tol, "tol")
-    if t_op.signature != s_op.signature:
-        raise ConformabilityError("signatures differ")
-    if t_op.cols != s_op.rows:
-        raise ConformabilityError("TS undefined")
-    s_ranks = operator_ranks(s_op)
-    if s_ranks.rank == 0:
+    pair = _pair(t_op, s_op)
+    if pair.s_decision.rank == 0:
         raise DegenerateDecompositionError("S is zero; no invertible block S1")
-    t_ranks = operator_ranks(t_op)
-    reduced = [
-        _reduce_block(*parts)
+    per_block = [
+        _block_terms(*_reduce_block(*parts))
         for parts in zip(
-            t_op.blocks,
-            s_op.blocks,
+            pair.blocks,
             operator_svd(t_op),
             operator_svd(s_op),
-            t_ranks.ranks,
-            s_ranks.ranks,
+            pair.t_decision.ranks,
+            pair.s_decision.ranks,
         )
     ]
-    ts1_mp = pinv_blocks(
-        (t_ranks.rank, s_ranks.rank),
-        [svd_factor(t1 @ s1) for t1, _, s1 in reduced],
-        t_op.signature.block_sizes,
-    )
-    per_block = [_block_terms(*parts, p) for parts, p in zip(reduced, ts1_mp.blocks)]
     residuals = []
     for terms in zip(*per_block):
         lhs = [a for a, _ in terms]
         rhs = None if terms[0][1] is None else [b for _, b in terms]
         residuals.append(float(rel_residual(lhs, rhs)))
-    # The pair's flag covers the decisions on T, S and TS.  T1 S1 keeps the
-    # rounding noise of TS as rank, so its own decision can miss a flag on TS.
-    flag = _pair(t_op, s_op).boundary_flag or ts1_mp.decision.boundary_flag
-    return BlockConditionReport(*residuals, bool(flag), float(tol))
+    return BlockConditionReport(*residuals, pair.boundary_flag, float(tol))
 
 
-def _reduce_block(t, s, ft, fs, rank_t, rank_s):
-    """``T1``, ``T2`` and ``S1`` of one algebra block.
+def _reduce_block(b, ft, fs, rank_t, rank_s):
+    """``T1``, ``T2``, ``S1`` and ``(T1 S1)^+`` of one algebra block.
 
     ``S1`` maps ``Ran(S*)`` onto ``Ran(S)``; ``[T1, T2]`` maps
-    ``Ran(S) (+) Ker(S*)`` into ``Ran(T)``.
+    ``Ran(S) (+) Ker(S*)`` into ``Ran(T)``; ``(T1 S1)^+`` is
+    ``V_{S,1}* (TS)^+ U_{T,1}``.
     """
     us1 = fs.U[:, :rank_s]
     us2 = orthogonal_complement(us1)
-    s1 = us1.conj().T @ s @ fs.V[:, :rank_s]
+    vs1 = fs.V[:, :rank_s]
+    s1 = us1.conj().T @ b.s @ vs1
     ut1 = ft.U[:, :rank_t]
-    return ut1.conj().T @ t @ us1, ut1.conj().T @ t @ us2, s1
+    p_ts1 = vs1.conj().T @ b.tsp @ ut1
+    return ut1.conj().T @ b.t @ us1, ut1.conj().T @ b.t @ us2, s1, p_ts1
 
 
 def _block_terms(t1, t2, s1, p_ts1):

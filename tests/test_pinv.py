@@ -218,7 +218,7 @@ def test_zero_operator_pinv():
 def test_penrose_residuals_normalization(rng):
     t = random_complex(rng, 4, 4)
     x = np.linalg.pinv(t)
-    residuals = penrose_residuals(t, x)
+    residuals = penrose_residuals([t], [x])
     assert all(r <= 1e-12 for r in residuals)
 
 
