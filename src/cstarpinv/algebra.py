@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import block_norm
 from .errors import ConformabilityError
 
 __all__ = [
@@ -167,7 +168,7 @@ def elem_adjoint(a):
 
 def elem_norm(a):
     """C*-norm: the largest singular value over all blocks."""
-    return max(float(np.linalg.norm(x, 2)) for x in a.blocks)
+    return block_norm(a.blocks)
 
 
 def elem_is_positive(a, tol=1e-10):

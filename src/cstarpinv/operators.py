@@ -389,17 +389,11 @@ def range_inclusion(b, c, tol=1e-8):
     if b.rows != c.rows:
         raise ConformabilityError("operators must share a codomain")
     check_tolerance(tol, "tol")
-    residual = range_inclusion_residual(b.blocks, c.blocks, operator_pinv(c).blocks)
+    projected = [
+        cb @ (cp @ bb) for bb, cb, cp in zip(b.blocks, c.blocks, operator_pinv(c).blocks)
+    ]
+    residual = rel_residual(b.blocks, projected)
     return residual <= tol, residual
-
-
-def range_inclusion_residual(b_blocks, c_blocks, c_pinv_blocks):
-    """Residual of ``Ran(b) <= Ran(c)`` given a precomputed pseudoinverse.
-
-    All three arguments are sequences of per-block matrices.
-    """
-    projected = [c @ (cp @ b) for b, c, cp in zip(b_blocks, c_blocks, c_pinv_blocks)]
-    return rel_residual(b_blocks, projected)
 
 
 def projection_onto_range(t):

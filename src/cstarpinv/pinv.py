@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import check_tolerance, rel_residual
+from ._numeric import check_tolerance, rel_residuals
 from .errors import ConformabilityError, FactorizationError
 from .operators import AdjointableOp
 
@@ -123,17 +123,20 @@ def orthogonal_complement(basis):
 
 
 def _fix_phases(u, v):
-    """Rotate each factor pair so V's first nonzero component is real >= 0."""
+    """Rotate each factor pair so V's first nonzero component is real >= 0.
+
+    Each column's phase is the scalar ``lead.conj() / abs(lead)``; an array
+    division would round differently.  All phases are then applied in one
+    multiply per factor.
+    """
+    phase = np.ones(v.shape[1], dtype=complex)
     for j in range(v.shape[1]):
         col = v[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size == 0:
-            continue
-        lead = col[nz[0]]
-        phase = lead.conj() / abs(lead)
-        v[:, j] = col * phase
-        u[:, j] = u[:, j] * phase
-    return u, v
+        if nz.size:
+            lead = col[nz[0]]
+            phase[j] = lead.conj() / abs(lead)
+    return u * phase, v * phase
 
 
 @dataclass(frozen=True)
@@ -278,15 +281,23 @@ def penrose_residuals(t, x):
     """Relative residuals of the four defining equations.
 
     ``t`` and ``x`` are sequences of the per-block matrices of two
-    block-diagonal matrices; every norm is the largest over blocks.
+    block-diagonal matrices; every norm is the largest over blocks, and all
+    four residuals share one batch of norms.
     """
+    return tuple(rel_residuals(penrose_identities(t, x)))
+
+
+def penrose_identities(t, x):
+    """The ``(lhs, rhs)`` pairs of ``TXT = T``, ``XTX = X``, ``(TX)* = TX``
+    and ``(XT)* = XT``, for :func:`~cstarpinv._numeric.rel_residuals`."""
     tx = [a @ b for a, b in zip(t, x)]
     xt = [b @ a for a, b in zip(t, x)]
-    r1 = rel_residual(t, [p @ a for p, a in zip(tx, t)])
-    r2 = rel_residual(x, [q @ b for q, b in zip(xt, x)])
-    r3 = rel_residual(tx, [p.conj().T for p in tx])
-    r4 = rel_residual(xt, [q.conj().T for q in xt])
-    return (r1, r2, r3, r4)
+    return (
+        (t, [p @ a for p, a in zip(tx, t)]),
+        (x, [q @ b for q, b in zip(xt, x)]),
+        (tx, [p.conj().T for p in tx]),
+        (xt, [q.conj().T for q in xt]),
+    )
 
 
 @dataclass(frozen=True)

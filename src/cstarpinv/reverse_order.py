@@ -22,6 +22,10 @@ largest over blocks, taken separately for the numerator and for the
 All checks of one pair read one shared set of data: the block matrices and
 pseudoinverses of ``T``, ``S`` and ``TS``, and the residual of every
 identity of the certificate, each evaluated once when the pair is built.
+The norms of all those residuals are taken in one batch, one LAPACK call
+per matrix shape (see :func:`cstarpinv._numeric.rel_residuals`), and so
+are those of the eight block conditions; the values are those of
+per-matrix norms bit for bit.
 It is cached on ``T`` for the last ``S`` it was paired with (matched by
 identity) and built from the operators' cached SVDs, so generation's
 verification, :func:`check_corollary`, the triple checks and
@@ -43,20 +47,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance, inverse, rel_residual
+from ._numeric import block_norm, check_tolerance, inverse, rel_residuals
 from .algebra import AlgebraSignature
 from .errors import (
     ConformabilityError,
     DegenerateDecompositionError,
     GenerationError,
 )
-from .operators import AdjointableOp, adjoint_op, compose, range_inclusion_residual
+from .operators import AdjointableOp, adjoint_op, compose
 from .pinv import (
     operator_pinv,
     operator_ranks,
     operator_svd,
     orthogonal_complement,
-    penrose_residuals,
+    penrose_identities,
 )
 from .sampling import random_operator, random_operator_with_rank
 
@@ -117,9 +121,12 @@ class _Pair:
     The block matrices and pseudoinverses of ``T``, ``S`` and ``TS``, the
     rank decisions of ``T`` and ``S``, and the residual of every identity of
     the certificate: the law, the two equations of each triple, the four
-    Penrose residuals of ``(TS, X)`` and both Greville inclusions.  A
-    certificate at any tolerance only compares these residuals with it (see
-    :func:`_certificate`).  Obtain a pair through :func:`_pair`, which
+    Penrose residuals of ``(TS, X)`` and both Greville inclusions, with all
+    their norms in one batch.  Triple A's second equation and the first
+    inclusion are one residual, by the paper's equivalence
+    ``T*TS = SS^+T*TS  <=>  Ran(T*TS) <= Ran(S)``, so a pair evaluates ten.
+    A certificate at any tolerance only compares these residuals with it
+    (see :func:`_certificate`).  Obtain a pair through :func:`_pair`, which
     shares one per pair; its arrays are read-only.
     """
 
@@ -149,23 +156,27 @@ class _Pair:
             or ts_mp.decision.boundary_flag
         )
 
-        self.residual_rol = rel_residual([b.tsp for b in blocks], [b.x for b in blocks])
-        self.penrose = penrose_residuals([b.ts for b in blocks], [b.x for b in blocks])
+        ts, x = [b.ts for b in blocks], [b.x for b in blocks]
         t_ts = [b.t.conj().T @ b.ts for b in blocks]
         ts_s = [b.ts @ b.s.conj().T for b in blocks]
-        self.thm21 = (
-            rel_residual([b.ts @ b.tsp for b in blocks], [b.ts @ b.sp @ b.tp for b in blocks]),
-            rel_residual(t_ts, [b.s @ (b.sp @ a) for b, a in zip(blocks, t_ts)]),
-        )
-        self.thm22 = (
-            rel_residual([b.tsp @ b.ts for b in blocks], [b.x @ b.ts for b in blocks]),
-            rel_residual(ts_s, [a @ b.tp @ b.t for b, a in zip(blocks, ts_s)]),
-        )
-        g1 = range_inclusion_residual(t_ts, [b.s for b in blocks], [b.sp for b in blocks])
         g2_target = [b.s @ b.s.conj().T @ b.t.conj().T for b in blocks]
-        # Ran(T*) projector is (T^+ T); avoids factoring T* separately.
-        g2 = rel_residual(g2_target, [b.tp @ (b.t @ g) for b, g in zip(blocks, g2_target)])
-        self.greville = (g1, g2)
+        rol, thm21_a, inclusion_s, thm22_a, thm22_b, inclusion_t, *penrose = rel_residuals(
+            [
+                ([b.tsp for b in blocks], x),
+                ([b.ts @ b.tsp for b in blocks], [b.ts @ b.sp @ b.tp for b in blocks]),
+                (t_ts, [b.s @ (b.sp @ a) for b, a in zip(blocks, t_ts)]),
+                ([b.tsp @ b.ts for b in blocks], [b.x @ b.ts for b in blocks]),
+                (ts_s, [a @ b.tp @ b.t for b, a in zip(blocks, ts_s)]),
+                # Ran(T*) projector is (T^+ T); avoids factoring T* separately.
+                (g2_target, [b.tp @ (b.t @ g) for b, g in zip(blocks, g2_target)]),
+                *penrose_identities(ts, x),
+            ]
+        )
+        self.residual_rol = rol
+        self.penrose = tuple(penrose)
+        self.thm21 = (thm21_a, inclusion_s)
+        self.thm22 = (thm22_a, thm22_b)
+        self.greville = (inclusion_s, inclusion_t)
 
 
 def _pair(t_op, s_op):
@@ -316,12 +327,11 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
             pair.s_decision.ranks,
         )
     ]
-    residuals = []
-    for terms in zip(*per_block):
-        lhs = [a for a, _ in terms]
-        rhs = None if terms[0][1] is None else [b for _, b in terms]
-        residuals.append(float(rel_residual(lhs, rhs)))
-    return BlockConditionReport(*residuals, pair.boundary_flag, float(tol))
+    identities = [
+        ([a for a, _ in terms], None if terms[0][1] is None else [b for _, b in terms])
+        for terms in zip(*per_block)
+    ]
+    return BlockConditionReport(*rel_residuals(identities), pair.boundary_flag, float(tol))
 
 
 def _reduce_block(b, ft, fs, rank_t, rank_s):
