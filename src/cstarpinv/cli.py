@@ -296,6 +296,10 @@ def _cmd_fuzz(args):
     if ("thm22_only" in kinds or "thm21_only" in kinds) and (p < 2 or m < 2):
         print("error: thm21_only/thm22_only need dims p, m >= 2", file=sys.stderr)
         return EXIT_USAGE
+    # thm21_only needs rank S > rank P1 >= 1, and rank S <= min(m, k).
+    if "thm21_only" in kinds and k < 2:
+        print("error: thm21_only needs dims k >= 2", file=sys.stderr)
+        return EXIT_USAGE
 
     results, summary = run_fuzz(tuple(dims), args.count, args.seed, signature, kinds, args.tol)
 

