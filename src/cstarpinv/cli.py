@@ -8,6 +8,7 @@ flag prevented a verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -85,9 +86,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser :func:`main` uses, built on its first call and kept for
+    the process; ``parse_args`` leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "pinv":
             return _cmd_pinv(args)

@@ -4,7 +4,14 @@ Operator files are JSON with explicit ``[re, im]`` pairs, one flat row-major
 pair list per algebra block, so files are diffable and round-trip exactly
 (Python serializes binary64 floats with shortest-round-trip decimals).
 Entries are read into and written from the operator's per-block matrices
-directly.
+directly.  A valid document is read one algebra block at a time: one type
+pass over the block's lists, pairs and numbers of every entry, one float
+array of its ``rows*cols*n*n`` ``[re, im]`` pairs, one ``isfinite`` test
+over that array, and one ``view(complex)``, reshape and transpose that turn
+it into the ``(rows*n) x (cols*n)`` block matrix, so ``-0.0`` and every other
+value keep their bits.  Only a document that this
+pass refuses is walked entry by entry, block by block and pair by pair, to
+name its first offending field.
 Certificates render a :class:`RolCertificate` together with the tool
 version, the tolerance used, and SHA-256 digests of the inputs.
 """
@@ -13,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -112,17 +121,71 @@ def operator_from_dict(data):
         f"expected rows*cols = {rows * cols} entries, got {len(entries_raw)}",
     )
 
-    sizes = signature.block_sizes
-    blocks = [np.zeros((rows * n, cols * n), dtype=complex) for n in sizes]
+    blocks = _read_blocks(entries_raw, signature.block_sizes, rows, cols)
+    if blocks is None:
+        _raise_first_fault(entries_raw, signature.block_sizes)
+    return AdjointableOp.from_blocks(signature, blocks)
+
+
+_NUMBER = (int, float)
+
+
+def _only(types, allowed):
+    """Whether every type in ``types`` is one of ``allowed`` or a subclass
+    of one, ``bool`` excluded."""
+    return all(
+        t in allowed or (issubclass(t, allowed) and not issubclass(t, bool)) for t in types
+    )
+
+
+def _lists_of(items, length):
+    """Whether every one of ``items`` is a list of ``length`` elements."""
+    return _only(set(map(type, items)), (list,)) and set(map(len, items)) == {length}
+
+
+def _read_blocks(entries_raw, sizes, rows, cols):
+    """The block matrices of a valid ``entries`` list, or ``None`` when it
+    has any fault; :func:`_raise_first_fault` names the fault."""
+    if not _lists_of(entries_raw, len(sizes)):
+        return None
+    blocks = []
+    for n, lists in zip(sizes, zip(*entries_raw)):
+        if not _lists_of(lists, n * n):
+            return None
+        pairs = list(chain.from_iterable(lists))
+        if not _lists_of(pairs, 2):
+            return None
+        numbers = list(chain.from_iterable(pairs))
+        if not _only(set(map(type, numbers)), _NUMBER):
+            return None
+        try:
+            parts = np.array(numbers, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if not np.isfinite(parts).all():
+            return None
+        # pair ((r*cols + c)*n + i)*n + j holds element (i, j) of entry (r, c)
+        blocks.append(
+            parts.view(complex)
+            .reshape(rows, cols, n, n)
+            .transpose(0, 2, 1, 3)
+            .reshape(rows * n, cols * n)
+        )
+    return blocks
+
+
+def _raise_first_fault(entries_raw, sizes):
+    """Raise :class:`OperatorFileError` for the first faulty entry, block or
+    pair of ``entries``, in that order, with an entry checked before its
+    blocks and a block before its pairs."""
     for idx, entry in enumerate(entries_raw):
         field = f"entries[{idx}]"
         _expect(
-            isinstance(entry, list) and len(entry) == len(signature.block_sizes),
+            isinstance(entry, list) and len(entry) == len(sizes),
             field,
-            f"expected {len(signature.block_sizes)} blocks, got "
+            f"expected {len(sizes)} blocks, got "
             f"{len(entry) if isinstance(entry, list) else type(entry).__name__}",
         )
-        r, c = divmod(idx, cols)
         for b, (n, pairs) in enumerate(zip(sizes, entry)):
             bfield = f"{field}.blocks[{b}]"
             _expect(
@@ -131,28 +194,18 @@ def operator_from_dict(data):
                 f"expected {n * n} [re, im] pairs, got "
                 f"{len(pairs) if isinstance(pairs, list) else type(pairs).__name__}",
             )
-            values = []
             for j, pair in enumerate(pairs):
                 pfield = f"{bfield}[{j}]"
                 _expect(
-                    isinstance(pair, list)
-                    and len(pair) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair),
+                    isinstance(pair, list) and len(pair) == 2 and _only(map(type, pair), _NUMBER),
                     pfield,
                     "expected a [re, im] pair of numbers",
                 )
                 try:
-                    re, im = float(pair[0]), float(pair[1])
+                    finite = math.isfinite(float(pair[0])) and math.isfinite(float(pair[1]))
                 except OverflowError:
-                    re = im = np.inf
-                _expect(
-                    np.isfinite(re) and np.isfinite(im),
-                    pfield,
-                    "entries must be finite",
-                )
-                values.append(complex(re, im))
-            blocks[b][r * n : (r + 1) * n, c * n : (c + 1) * n] = np.reshape(values, (n, n))
-    return AdjointableOp.from_blocks(signature, blocks)
+                    finite = False
+                _expect(finite, pfield, "entries must be finite")
 
 
 def operator_json(op):

@@ -125,17 +125,17 @@ def orthogonal_complement(basis):
 def _fix_phases(u, v):
     """Rotate each factor pair so V's first nonzero component is real >= 0.
 
-    Each column's phase is the scalar ``lead.conj() / abs(lead)``; an array
-    division would round differently.  All phases are then applied in one
-    multiply per factor.
+    Every column's leading index comes from one ``argmax`` over the
+    ``abs(v) > 1e-12`` mask.  Each column's phase is then the scalar
+    ``lead.conj() / abs(lead)``; an array division would round differently.
+    All phases are then applied in one multiply per factor.
     """
+    mask = np.abs(v) > 1e-12
+    leads = v[mask.argmax(axis=0), np.arange(v.shape[1])]
     phase = np.ones(v.shape[1], dtype=complex)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            phase[j] = lead.conj() / abs(lead)
+    for j in np.flatnonzero(mask.any(axis=0)):
+        lead = leads[j]
+        phase[j] = lead.conj() / abs(lead)
     return u * phase, v * phase
 
 

@@ -367,7 +367,8 @@ def _reduce_block(b, ft, fs, rank_t, rank_s):
     ``V_{S,1}* (TS)^+ U_{T,1}``.
     """
     us1 = fs.U[:, :rank_s]
-    us2 = orthogonal_complement(us1)
+    # A square economy U already spans Ker(S*) past its first rank_s columns.
+    us2 = fs.U[:, rank_s:] if fs.U.shape[0] == fs.U.shape[1] else orthogonal_complement(us1)
     vs1 = fs.V[:, :rank_s]
     s1 = us1.conj().T @ b.s @ vs1
     ut1 = ft.U[:, :rank_t]

@@ -211,6 +211,42 @@ def test_cmd_fuzz_validation(tmp_path, capsys, monkeypatch):
     assert not tmp_path.joinpath("fuzz-failures").exists()
 
 
+def test_main_reuses_one_parser_and_prints_what_a_fresh_one_prints(
+    tmp_path, capsys, monkeypatch
+):
+    from cstarpinv import adjoint_op
+
+    monkeypatch.chdir(tmp_path)
+    t = random_operator(SIG12, 2, 3, np.random.default_rng(9))
+    path_t, path_s = write(tmp_path, "T.json", t), write(tmp_path, "S.json", adjoint_op(t))
+    calls = (
+        ["pinv", path_t],
+        ["check", path_t, path_s, "--machine"],
+        ["fuzz", "--count", "2", "--seed", "1", "--dims", "0,4,4"],
+        ["fuzz", "--count", "x", "--seed", "1"],  # refused by argparse itself
+        ["fuzz", "--count", "6", "--seed", "5", "--machine"],
+    )
+
+    def outputs():
+        results = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cli._parser.cache_clear()
+    reused = outputs()
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 4)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == reused
+    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0]
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_cmd_fuzz_s_adjoint(tmp_path, capsys, monkeypatch):
     # the law always holds for S = T*: 100/100 all-true
     monkeypatch.chdir(tmp_path)
