@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import FactorizationError
+
 
 def spec_norms(matrices):
     """Spectral norms of many matrices, one LAPACK call per shape.
@@ -19,7 +21,8 @@ def spec_norms(matrices):
     ``numpy.linalg.svd(stack, compute_uv=False)``, which runs the routine
     ``numpy.linalg.norm(m, 2)`` runs on each matrix, so every norm is bit
     for bit the per-matrix one.  Matrices with an empty dimension have norm
-    0.0.
+    0.0.  A norm that LAPACK reports as not converged (as it does for
+    non-finite entries) raises :class:`FactorizationError`.
     """
     matrices = [np.asarray(m) for m in matrices]
     norms = [0.0] * len(matrices)
@@ -27,8 +30,14 @@ def spec_norms(matrices):
     for i, m in enumerate(matrices):
         if m.size:
             groups.setdefault((m.shape, m.dtype), []).append((i, m))
-    for members in groups.values():
-        largest = np.linalg.svd(np.stack([m for _, m in members]), compute_uv=False)[:, 0]
+    for (shape, _), members in groups.items():
+        try:
+            largest = np.linalg.svd(np.stack([m for _, m in members]), compute_uv=False)[:, 0]
+        except np.linalg.LinAlgError:
+            rows, cols = shape
+            raise FactorizationError(
+                f"spectral norm of a {rows}x{cols} matrix did not converge"
+            ) from None
         for (i, _), value in zip(members, largest.tolist()):
             norms[i] = value
     return norms

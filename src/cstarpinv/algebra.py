@@ -100,11 +100,6 @@ class AlgebraElement:
     def identity(cls, signature):
         return cls(signature, [np.eye(n) for n in signature.block_sizes])
 
-    @classmethod
-    def scalar(cls, signature, value):
-        """The scalar multiple ``value * identity``."""
-        return cls(signature, [value * np.eye(n) for n in signature.block_sizes])
-
     def __add__(self, other):
         _check_same_signature(self, other)
         return AlgebraElement(

@@ -85,7 +85,7 @@ def lemma1_form(t, rank_tol="auto"):
 def _lemma1_block(m, f, rank):
     """Bases, ``T1`` and the part of ``m`` outside ``T1`` for one algebra block."""
     u1, v1 = f.U[:, :rank], f.V[:, :rank]
-    u2, v2 = orthogonal_complement(u1), orthogonal_complement(v1)
+    u2, v2 = orthogonal_complement(f.U, rank), orthogonal_complement(f.V, rank)
     t1 = u1.conj().T @ m @ v1
     off = np.concatenate([u1, u2], axis=1).conj().T @ m @ np.concatenate([v1, v2], axis=1)
     off[:rank, :rank] -= t1
@@ -102,8 +102,8 @@ def _projection_bases(p_op):
     bases = []
     for f in operator_svd(p_op):
         # Spectrum of a projection is {0, 1}; 1/2 separates the clusters.
-        w1 = f.U[:, : int(np.count_nonzero(f.singular_values > 0.5))]
-        bases.append((w1, orthogonal_complement(w1)))
+        rank = int(np.count_nonzero(f.singular_values > 0.5))
+        bases.append((f.U[:, :rank], orthogonal_complement(f.U, rank)))
     return bases
 
 

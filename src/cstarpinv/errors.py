@@ -21,8 +21,8 @@ class DegenerateDecompositionError(CstarPinvError):
     """A block decomposition was requested for an operator without one."""
 
 
-class FactorizationError(CstarPinvError):
-    """An SVD did not converge."""
+class FactorizationError(CstarPinvError, ValueError):
+    """An SVD or a norm did not converge, or its matrix has non-finite entries."""
 
 
 class SizeLimitError(CstarPinvError):

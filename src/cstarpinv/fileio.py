@@ -1,4 +1,4 @@
-"""On-disk operator and certificate formats.
+"""On-disk operator format.
 
 Operator files are JSON with explicit ``[re, im]`` pairs, one flat row-major
 pair list per algebra block, so files are diffable and round-trip exactly
@@ -12,8 +12,9 @@ it into the ``(rows*n) x (cols*n)`` block matrix, so ``-0.0`` and every other
 value keep their bits.  Only a document that this
 pass refuses is walked entry by entry, block by block and pair by pair, to
 name its first offending field.
-Certificates render a :class:`RolCertificate` together with the tool
-version, the tolerance used, and SHA-256 digests of the inputs.
+The file layer reads and writes operators only; a certificate's
+serialization sits beside the certificate, in
+:mod:`cstarpinv.reverse_order`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .algebra import AlgebraSignature
 from .errors import OperatorFileError, SizeLimitError
 from .operators import AdjointableOp, check_block_size
-from .reverse_order import ConditionCheck, RolCertificate
 
 __all__ = [
     "operator_to_dict",
@@ -37,12 +37,8 @@ __all__ = [
     "write_operator_file",
     "read_operator_file",
     "file_digest",
-    "certificate_to_dict",
-    "certificate_from_dict",
     "dumps_canonical",
 ]
-
-CERTIFICATE_FORMAT = "cstarpinv-certificate/1"
 
 
 def dumps_canonical(payload):
@@ -251,40 +247,3 @@ def file_digest(path):
     with open(path, "rb") as fh:
         digest.update(fh.read())
     return digest.hexdigest()
-
-
-def _check_to_dict(check):
-    return {"residual": check.residual, "verdict": check.verdict}
-
-
-def certificate_to_dict(cert, tool_version, digests=None):
-    """Machine-readable certificate; lossless for the certificate fields."""
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "tool_version": tool_version,
-        "tol": cert.tol,
-        "input_digests": digests or {},
-        "residual_rol": cert.residual_rol,
-        "rol_verdict": cert.rol_verdict,
-        "thm21": [_check_to_dict(c) for c in cert.thm21],
-        "thm22": [_check_to_dict(c) for c in cert.thm22],
-        "greville": [_check_to_dict(c) for c in cert.greville],
-        "consistent": cert.consistent,
-        "boundary_flag": cert.boundary_flag,
-    }
-
-
-def certificate_from_dict(data):
-    def checks(items):
-        return tuple(ConditionCheck(c["residual"], c["verdict"]) for c in items)
-
-    return RolCertificate(
-        data["residual_rol"],
-        data["rol_verdict"],
-        checks(data["thm21"]),
-        checks(data["thm22"]),
-        checks(data["greville"]),
-        data["consistent"],
-        data["boundary_flag"],
-        data["tol"],
-    )

@@ -13,15 +13,17 @@ Two derived views are built on demand, for importing and exporting only;
 no computation in the package builds either, and this module is the only
 one that builds or indexes a flattening:
 
-* ``flat``, the faithful complex flattening in which algebra entry ``a``
-  contributes, per algebra block of size ``n``, the ``n^2 x n^2`` matrix
-  ``kron(I_n, a_block)`` (left multiplication under column-major stacking).
-  Up to a fixed permutation of rows and columns it is ``(+)_i kron(I_{n_i},
-  T_i)``, so its spectrum is each block's spectrum repeated ``n_i`` times.
+* :func:`flatten`, the faithful complex flattening in which algebra entry
+  ``a`` contributes, per algebra block of size ``n``, the ``n^2 x n^2``
+  matrix ``kron(I_n, a_block)`` (left multiplication under column-major
+  stacking).  Up to a fixed permutation of rows and columns it is
+  ``(+)_i kron(I_{n_i}, T_i)``, so its spectrum is each block's spectrum
+  repeated ``n_i`` times.
 * ``entries``, the ``rows x cols`` grid of :class:`AlgebraElement` objects.
 
 :func:`unflatten` imports a foreign flattened matrix and certifies that it
-is algebra-linear.
+is algebra-linear.  Both directions go through one map, :func:`_copies`,
+which views a flattening as the ``n_i`` copies of every block matrix.
 
 Operators are immutable, and each one also caches, lazily, the SVDs of its
 blocks (filled by :func:`cstarpinv.pinv.operator_svd`) and the shared
@@ -136,11 +138,6 @@ class AdjointableOp:
         return (self.rows * d, self.cols * d)
 
     @property
-    def flat(self):
-        """The complex flattening (built on each access, read-only)."""
-        return _flat_matrix(self)
-
-    @property
     def entries(self):
         """The ``rows x cols`` grid of algebra elements (built on each access)."""
         return _entry_grid(self)
@@ -155,17 +152,14 @@ class AdjointableOp:
         return cls.from_blocks(signature, [np.eye(n * size) for size in signature.block_sizes])
 
     @classmethod
-    def from_complex_matrix(cls, matrix, signature=None):
+    def from_complex_matrix(cls, matrix):
         """Wrap a plain complex matrix as an operator over signature [1].
 
         Each scalar entry becomes a 1x1 algebra block; this is the bridge
-        between ordinary matrices and the module-operator interface.
+        between ordinary matrices and the module-operator interface.  The
+        matrix must be two-dimensional, with at least one row and column.
         """
-        if signature is None:
-            signature = AlgebraSignature((1,))
-        if signature.block_sizes != (1,):
-            raise ConformabilityError("from_complex_matrix requires signature [1]")
-        return cls.from_blocks(signature, [np.atleast_2d(np.asarray(matrix, dtype=complex))])
+        return cls.from_blocks(AlgebraSignature((1,)), [np.asarray(matrix, dtype=complex)])
 
     def __add__(self, other):
         _check_same_shape(self, other)
@@ -236,30 +230,21 @@ def _entry_grid(t):
     )
 
 
-def flat_index(signature, count):
-    """Where each block's copies sit in a flattening with ``count`` entry rows.
+def _copies(flat, signature, rows, cols):
+    """Per algebra block, a view of a ``rows x cols`` flattening as
+    ``[r, q, a, c, q', b]``.
 
-    Returns, per algebra block ``i``, one index array per copy ``q`` of
-    ``kron(I_{n_i}, T_i)``: element ``r*n_i + a`` of copy ``q`` is flattened
-    row ``r*d + offset_i + q*n_i + a``.  The same map serves the columns.
+    Element ``(r, q, a, c, q', b)`` of block ``i``'s view is flattened entry
+    ``(r*d + offset_i + q*n_i + a, c*d + offset_i + q'*n_i + b)``; copy ``q``
+    of ``kron(I_{n_i}, T_i)`` is ``[:, q, :, :, q, :]``, holding element
+    ``(r*n_i + a, c*n_i + b)`` of ``T_i``.
     """
     d = signature.dim
-    starts = np.arange(count)[:, None] * d
+    grid = flat.reshape(rows, d, cols, d)
     return [
-        [(starts + offset + q * n + np.arange(n)).ravel() for q in range(n)]
-        for n, offset in zip(signature.block_sizes, signature.block_offsets)
+        grid[:, o : o + n * n, :, o : o + n * n].reshape(rows, n, n, cols, n, n)
+        for n, o in zip(signature.block_sizes, signature.block_offsets)
     ]
-
-
-def _flat_matrix(t):
-    flat = np.zeros(t.flat_shape, dtype=complex)
-    row_index = flat_index(t.signature, t.rows)
-    col_index = flat_index(t.signature, t.cols)
-    for block, rows, cols in zip(t.blocks, row_index, col_index):
-        for r, c in zip(rows, cols):
-            flat[np.ix_(r, c)] = block
-    flat.flags.writeable = False
-    return flat
 
 
 def _check_same_shape(t, s):
@@ -326,8 +311,18 @@ def compose(t, s):
 
 
 def flatten(t):
-    """The complex flattening (read-only)."""
-    return t.flat
+    """The complex flattening, built on each call (read-only)."""
+    return _flat_matrix(t)
+
+
+def _flat_matrix(t):
+    flat = np.zeros(t.flat_shape, dtype=complex)
+    for block, view in zip(t.blocks, _copies(flat, t.signature, t.rows, t.cols)):
+        n = view.shape[1]
+        copy = np.arange(n)
+        view[:, copy, :, :, copy, :] = block.reshape(t.rows, n, t.cols, n)
+    flat.flags.writeable = False
+    return flat
 
 
 def unflatten(matrix, signature, shape, tol=1e-8):
@@ -355,13 +350,11 @@ def _unflatten_with_mass(matrix, signature, shape):
             f"expected shape {(rows * d, cols * d)}, got {matrix.shape}"
         )
     blocks = [
-        sum(matrix[np.ix_(r, c)] for r, c in zip(row_copies, col_copies)) / n
-        for n, row_copies, col_copies in zip(
-            signature.block_sizes, flat_index(signature, rows), flat_index(signature, cols)
-        )
+        sum(view[:, q, :, :, q, :] for q in range(n)).reshape(rows * n, cols * n) / n
+        for n, view in zip(signature.block_sizes, _copies(matrix, signature, rows, cols))
     ]
     op = AdjointableOp.from_blocks(signature, blocks)
-    off = spec_norm(matrix - op.flat)
+    off = spec_norm(matrix - _flat_matrix(op))
     return op, off
 
 

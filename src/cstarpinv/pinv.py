@@ -15,7 +15,8 @@ flattened ``m x n`` shape and the largest singular value over all blocks,
 and the boundary band is checked on every block (see
 :func:`operator_ranks`).  The pseudoinverse is built block by block
 from the retained singular triplets, so it is module-linear by
-construction.
+construction.  It is the only pseudoinverse path: a plain matrix goes
+through it as a one-block operator over signature [1] (:func:`pinv_matrix`).
 
 Operators are immutable, so each one is factored at most once: the SVDs of
 its blocks are cached on the operator by :func:`operator_svd` (the arrays
@@ -77,7 +78,7 @@ def svd_factor(matrix):
     if matrix.ndim != 2:
         raise ConformabilityError("svd_factor expects a matrix")
     if matrix.size and not np.isfinite(matrix).all():
-        raise ValueError("matrix entries must be finite")
+        raise FactorizationError("matrix entries must be finite")
     m, n = matrix.shape
     if m == 0 or n == 0:
         k = min(m, n)
@@ -110,16 +111,19 @@ def operator_svd(t):
     return factors
 
 
-def orthogonal_complement(basis):
-    """Orthonormal basis of the complement of ``Ran(basis)`` (``basis`` has
-    orthonormal columns)."""
-    n, r = basis.shape
-    if r == 0:
-        return np.eye(n, dtype=complex)
-    if r == n:
-        return np.zeros((n, 0), dtype=complex)
-    proj = np.eye(n, dtype=complex) - basis @ basis.conj().T
-    return svd_factor(proj).U[:, : n - r]
+def orthogonal_complement(basis, rank):
+    """Orthonormal basis of the complement of ``Ran(basis[:, :rank])``.
+
+    ``basis`` has orthonormal columns (an SVD factor), so its columns past
+    ``rank`` lie in the complement.  A square ``basis`` has nothing else to
+    add and no factorization is made; otherwise they are followed by an
+    orthonormal basis of the complement of all of ``Ran(basis)``.
+    """
+    n, k = basis.shape
+    if k == n:
+        return basis[:, rank:]
+    rest = svd_factor(np.eye(n, dtype=complex) - basis @ basis.conj().T).U[:, : n - k]
+    return np.concatenate([basis[:, rank:], rest], axis=1)
 
 
 def _fix_phases(u, v):
@@ -236,16 +240,16 @@ def operator_pinv(t, rank_tol="auto"):
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
-    """Moore-Penrose inverse of a complex matrix via :func:`svd_factor`.
+    """Moore-Penrose inverse of a complex matrix via :func:`operator_pinv`.
 
     Retains singular values above the :func:`rank_decision` cutoff and
-    inverts them on the factor bases.
+    inverts them on the factor bases.  The matrix is the one block of an
+    operator over signature [1], whose flattening is the matrix itself, so
+    the cutoff is that of the matrix's shape; it needs a row and a column.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    f = svd_factor(matrix)
-    s = f.singular_values
-    rank, cutoff, flag = rank_decision(matrix.shape, s, rank_tol)
-    return MatrixPinv(_pinv_from_factors(f, rank), rank, s, cutoff, flag)
+    mp = operator_pinv(AdjointableOp.from_complex_matrix(matrix), rank_tol)
+    d = mp.decision
+    return MatrixPinv(mp.blocks[0], d.rank, d.singular_values, d.cutoff, d.boundary_flag)
 
 
 @dataclass(frozen=True)

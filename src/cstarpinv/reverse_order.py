@@ -12,7 +12,9 @@ independent triples of equivalent conditions:
 
 Each check reports ``(residual, verdict)`` pairs; a certificate bundles all
 of them with a consistency bit stating that the verdict groups agree the
-way the equivalences demand.  Instances whose verdicts cannot be certified
+way the equivalences demand, and serializes (:func:`certificate_to_dict`)
+together with the tool version, the tolerance used, and SHA-256 digests of
+the inputs.  Instances whose verdicts cannot be certified
 at the tolerance carry a boundary flag and are excluded from dichotomy
 statistics: a rank decision of ``T``, ``S`` or ``TS`` is fragile, or the
 pair is so ill-conditioned that rounding, ``eps * kappa`` with ``kappa``
@@ -76,12 +78,15 @@ __all__ = [
     "check_thm21",
     "check_thm22",
     "check_corollary",
+    "certificate_to_dict",
+    "certificate_from_dict",
     "block_conditions",
     "gen_instance",
     "GENERATOR_KINDS",
 ]
 
 DEFAULT_TOL = 1e-8
+CERTIFICATE_FORMAT = "cstarpinv-certificate/1"
 # Verdicts at ``tol`` are withheld once rounding, ``eps * kappa``, comes
 # within this factor of ``tol``.  Over 4,850 unflagged ``S = T*`` pairs the
 # residual never exceeded 9.15 times that floor.
@@ -281,6 +286,43 @@ def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
     return _certificate(_pair(t_op, s_op), tol)
 
 
+def _check_to_dict(check):
+    return {"residual": check.residual, "verdict": check.verdict}
+
+
+def certificate_to_dict(cert, tool_version, digests=None):
+    """Machine-readable certificate; lossless for the certificate fields."""
+    return {
+        "format": CERTIFICATE_FORMAT,
+        "tool_version": tool_version,
+        "tol": cert.tol,
+        "input_digests": digests or {},
+        "residual_rol": cert.residual_rol,
+        "rol_verdict": cert.rol_verdict,
+        "thm21": [_check_to_dict(c) for c in cert.thm21],
+        "thm22": [_check_to_dict(c) for c in cert.thm22],
+        "greville": [_check_to_dict(c) for c in cert.greville],
+        "consistent": cert.consistent,
+        "boundary_flag": cert.boundary_flag,
+    }
+
+
+def certificate_from_dict(data):
+    def checks(items):
+        return tuple(ConditionCheck(c["residual"], c["verdict"]) for c in items)
+
+    return RolCertificate(
+        data["residual_rol"],
+        data["rol_verdict"],
+        checks(data["thm21"]),
+        checks(data["thm22"]),
+        checks(data["greville"]),
+        data["consistent"],
+        data["boundary_flag"],
+        data["tol"],
+    )
+
+
 @dataclass(frozen=True)
 class BlockConditionReport:
     """Proof-level residuals in the canonical coordinates of the pair.
@@ -367,8 +409,7 @@ def _reduce_block(b, ft, fs, rank_t, rank_s):
     ``V_{S,1}* (TS)^+ U_{T,1}``.
     """
     us1 = fs.U[:, :rank_s]
-    # A square economy U already spans Ker(S*) past its first rank_s columns.
-    us2 = fs.U[:, rank_s:] if fs.U.shape[0] == fs.U.shape[1] else orthogonal_complement(us1)
+    us2 = orthogonal_complement(fs.U, rank_s)
     vs1 = fs.V[:, :rank_s]
     s1 = us1.conj().T @ b.s @ vs1
     ut1 = ft.U[:, :rank_t]

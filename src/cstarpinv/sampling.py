@@ -1,4 +1,4 @@
-"""Seeded random algebra elements, vectors and operators.
+"""Seeded random algebra elements and operators.
 
 All functions take an explicit ``numpy.random.Generator``; nothing here
 touches global randomness, so callers control determinism by seeding.
@@ -13,12 +13,10 @@ import numpy as np
 
 from ._numeric import block_norm
 from .algebra import AlgebraElement
-from .module_space import ModuleVector
 from .operators import AdjointableOp, compose
 
 __all__ = [
     "random_element",
-    "random_vector",
     "random_operator",
     "random_operator_with_rank",
 ]
@@ -35,11 +33,7 @@ def random_element(signature, rng):
     return AlgebraElement(signature, blocks)
 
 
-def random_vector(signature, k, rng):
-    return ModuleVector([random_element(signature, rng) for _ in range(k)])
-
-
-def random_operator(signature, rows, cols, rng, normalize=False):
+def random_operator(signature, rows, cols, rng):
     """Operator whose entries are independent :func:`random_element` draws."""
     sizes = signature.block_sizes
     # Per entry, each block draws its n*n real parts and then its n*n
@@ -52,25 +46,17 @@ def random_operator(signature, rows, cols, rng, normalize=False):
         entries = (parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2.0)
         blocks.append(entries.transpose(0, 2, 1, 3).reshape(rows * n, cols * n))
         pos += 2 * n * n
-    op = AdjointableOp.from_blocks(signature, blocks)
-    if normalize:
-        op = _normalized(op)
-    return op
+    return AdjointableOp.from_blocks(signature, blocks)
 
 
-def _normalized(op):
-    norm = block_norm(op.blocks)
-    return op.scale(1.0 / norm) if norm > 0 else op
-
-
-def random_operator_with_rank(signature, rows, cols, rank, rng, normalize=True):
-    """Random operator factored through ``A^rank`` (module rank ``rank``)."""
+def random_operator_with_rank(signature, rows, cols, rank, rng):
+    """Random operator factored through ``A^rank`` (module rank ``rank``),
+    scaled to norm 1."""
     if rank < 1 or rank > min(rows, cols):
         raise ValueError(f"rank {rank} infeasible for {rows}x{cols}")
     op = compose(
         random_operator(signature, rows, rank, rng),
         random_operator(signature, rank, cols, rng),
     )
-    if normalize:
-        op = _normalized(op)
-    return op
+    norm = block_norm(op.blocks)
+    return op.scale(1.0 / norm) if norm > 0 else op

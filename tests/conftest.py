@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cstarpinv
-from cstarpinv import AlgebraSignature
+from cstarpinv import AlgebraSignature, flatten
 from cstarpinv.sampling import random_element, random_operator, random_operator_with_rank
 
 SIG1 = AlgebraSignature((1,))
@@ -87,11 +87,27 @@ def conditioned_operator(signature, rows, cols, rank, rng, floor=1e-2):
     """
     for _ in range(200):
         op = random_operator_with_rank(signature, rows, cols, rank, rng)
-        s = np.linalg.svd(op.flat, compute_uv=False)
+        s = np.linalg.svd(flatten(op), compute_uv=False)
         retained = s[: rank * signature.dim]
         if retained[-1] >= floor * s[0]:
             return op
     raise RuntimeError("could not draw a well-conditioned operator")
+
+
+def count_svd_factor(monkeypatch):
+    """A list that records the shape of every factorization the package
+    makes from here on; all of them go through ``cstarpinv.pinv.svd_factor``."""
+    import cstarpinv.pinv as pinv_module
+
+    calls = []
+    original = pinv_module.svd_factor
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(pinv_module, "svd_factor", counting)
+    return calls
 
 
 __all__ = [
@@ -104,6 +120,7 @@ __all__ = [
     "penrose_defects",
     "assert_penrose",
     "conditioned_operator",
+    "count_svd_factor",
     "random_element",
     "random_operator",
     "random_operator_with_rank",

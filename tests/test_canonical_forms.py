@@ -17,7 +17,16 @@ from cstarpinv import (
 from cstarpinv.errors import InvalidDecompositionError
 from cstarpinv.operators import op_norm
 
-from conftest import SIG1, SIG2, SIG12, SIGNATURES, conditioned_operator, random_operator
+from conftest import (
+    SIG1,
+    SIG2,
+    SIG12,
+    SIGNATURES,
+    conditioned_operator,
+    count_svd_factor,
+    random_operator,
+    random_operator_with_rank,
+)
 
 
 def op1(matrix):
@@ -264,3 +273,23 @@ def test_canonical_forms_build_no_flattening_and_no_entry_grid(rng, monkeypatch)
         scale = 1 + np.linalg.norm(reference, 2)
         for route in pinvs:
             assert np.linalg.norm(flatten(route) - reference, 2) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize(
+    "shape, per_block", [((3, 3), 1), ((3, 2), 2), ((2, 3), 2)], ids=("square", "tall", "wide")
+)
+def test_lemma1_form_factorizations_per_block(monkeypatch, rng, shape, per_block):
+    # a square factor gives its complement as its own trailing columns; only
+    # the long-side factor of a non-square block needs a projector factored
+    t = random_operator_with_rank(SIG12, *shape, 1, rng)
+    calls = count_svd_factor(monkeypatch)
+    form = lemma1_form(t)
+    assert len(calls) == per_block * len(t.blocks)
+    for m, u1, u2, v1, v2 in zip(
+        t.blocks, form.basis_ran_T, form.basis_ker_Tstar, form.basis_ran_Tstar, form.basis_ker_T
+    ):
+        for w1, w2 in ((u1, u2), (v1, v2)):
+            w = np.concatenate([w1, w2], axis=1)
+            assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0]), 2) <= 1e-13
+        assert np.linalg.norm(m @ v2, 2) <= 1e-13 and np.linalg.norm(u2.conj().T @ m, 2) <= 1e-13
+    assert form.reconstruction_residual <= 1e-13

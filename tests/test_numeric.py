@@ -8,9 +8,11 @@ bit for bit, so that no certificate, report or fuzz record moves.
 """
 
 import numpy as np
+import pytest
 
 from cstarpinv._numeric import block_norm, rel_residual, rel_residuals, spec_norm, spec_norms
-from cstarpinv.pinv import _fix_phases
+from cstarpinv.errors import FactorizationError
+from cstarpinv.pinv import _fix_phases, svd_factor
 
 from conftest import random_complex
 
@@ -104,3 +106,12 @@ def test_fix_phases_equals_the_column_loop():
         assert got_u.tobytes() == want_u.tobytes()
         assert got_v.tobytes() == want_v.tobytes()
     assert 350 <= with_zero_columns <= 550
+
+
+def test_non_finite_matrices_raise_factorization_errors():
+    # a FactorizationError is also the ValueError svd_factor raised before
+    assert issubclass(FactorizationError, ValueError)
+    with pytest.raises(FactorizationError, match="must be finite"):
+        svd_factor(np.array([[np.inf, 1.0]]))
+    with np.errstate(all="ignore"), pytest.raises(FactorizationError, match="2x2 matrix"):
+        spec_norms([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])

@@ -4,6 +4,7 @@ import pytest
 from cstarpinv import (
     AdjointableOp,
     AlgebraElement,
+    AlgebraSignature,
     ModuleVector,
     Projection,
     adjoint_op,
@@ -11,13 +12,15 @@ from cstarpinv import (
     compose,
     flatten,
     inner_product,
+    off_pattern_mass,
     range_inclusion,
     unflatten,
     vector_norm,
 )
 from cstarpinv.errors import ConformabilityError, InvalidDecompositionError, StructureError
 from cstarpinv.module_space import stack_vector
-from cstarpinv.operators import op_norm
+from cstarpinv._numeric import spec_norm
+from cstarpinv.operators import _unflatten_with_mass, op_norm
 from cstarpinv.pinv import moore_penrose
 
 from conftest import SIG1, SIG2, SIG12, SIGNATURES, random_element, random_operator, random_operator_with_rank
@@ -78,7 +81,7 @@ def test_compose_examples(rng):
     )
     # flattening is multiplicative
     np.testing.assert_allclose(
-        ts.flat, t.flat @ s.flat, atol=1e-13 * (1 + op_norm(t) * op_norm(s))
+        flatten(ts), flatten(t) @ flatten(s), atol=1e-13 * (1 + op_norm(t) * op_norm(s))
     )
 
 
@@ -229,4 +232,71 @@ def test_operator_immutable(rng):
     with pytest.raises(AttributeError):
         t.rows = 5
     with pytest.raises(ValueError):
-        t.flat[0, 0] = 1.0
+        flatten(t)[0, 0] = 1.0
+
+
+# The flattening map the package used before its one strided view: one index
+# array per copy q of kron(I_n, T_i), element r*n + a of copy q at flattened
+# row r*d + offset_i + q*n + a (the same map for the columns), read and
+# written with np.ix_.  Kept here as the reference the view is pinned to.
+def _reference_index(signature, count):
+    d = signature.dim
+    starts = np.arange(count)[:, None] * d
+    return [
+        [(starts + offset + q * n + np.arange(n)).ravel() for q in range(n)]
+        for n, offset in zip(signature.block_sizes, signature.block_offsets)
+    ]
+
+
+def _reference_flatten(t):
+    flat = np.zeros(t.flat_shape, dtype=complex)
+    row_index = _reference_index(t.signature, t.rows)
+    col_index = _reference_index(t.signature, t.cols)
+    for block, rows, cols in zip(t.blocks, row_index, col_index):
+        for r, c in zip(rows, cols):
+            flat[np.ix_(r, c)] = block
+    return flat
+
+
+def _reference_unflatten_blocks(matrix, signature, shape):
+    rows, cols = shape
+    return [
+        sum(matrix[np.ix_(r, c)] for r, c in zip(row_copies, col_copies)) / n
+        for n, row_copies, col_copies in zip(
+            signature.block_sizes,
+            _reference_index(signature, rows),
+            _reference_index(signature, cols),
+        )
+    ]
+
+
+FLATTENING_SIGNATURES = tuple(
+    AlgebraSignature(sizes) for sizes in ((1,), (2,), (1, 2), (2, 2, 3), (3, 1))
+)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sig", FLATTENING_SIGNATURES, ids=lambda s: str(list(s.block_sizes)))
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (2, 2)])
+def test_flattening_map_matches_index_reference_bit_for_bit(sig, shape):
+    rng = np.random.default_rng(sum(sig.block_sizes) * 100 + shape[0] * 10 + shape[1])
+    rows, cols = shape
+    t = random_operator(sig, rows, cols, rng)
+    # signed zeros too: the copies' sum starts from 0, which turns -0.0 into 0.0
+    blocks = [np.where(b.real > 0.5, complex(-0.0, -0.0), b) for b in t.blocks]
+    for op in (t, AdjointableOp.from_blocks(sig, blocks), AdjointableOp.zero(sig, rows, cols)):
+        flat = flatten(op)
+        assert _same_bits(flat, _reference_flatten(op))
+        noise = 1e-3 * (
+            rng.standard_normal(flat.shape) + 1j * rng.standard_normal(flat.shape)
+        )
+        for matrix in (flat, flat + noise, np.asfortranarray(flat + noise)):
+            back, off = _unflatten_with_mass(matrix, sig, shape)
+            reference = _reference_unflatten_blocks(matrix, sig, shape)
+            assert all(_same_bits(a, b) for a, b in zip(back.blocks, reference))
+            expected_off = spec_norm(matrix - _reference_flatten(back))
+            assert off == expected_off == off_pattern_mass(matrix, sig, shape)

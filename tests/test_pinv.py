@@ -13,7 +13,7 @@ from cstarpinv import (
 )
 from cstarpinv.errors import ConformabilityError
 from cstarpinv.operators import op_norm, range_inclusion
-from cstarpinv.pinv import penrose_residuals, rank_decision
+from cstarpinv.pinv import orthogonal_complement, penrose_residuals, rank_decision
 
 from conftest import (
     SIG1,
@@ -22,6 +22,7 @@ from conftest import (
     SIGNATURES,
     assert_penrose,
     conditioned_operator,
+    count_svd_factor,
     random_complex,
     random_operator,
     random_operator_with_rank,
@@ -262,7 +263,7 @@ def test_moore_penrose_rank_tol_on_cached_factors():
     second = moore_penrose(t, 1e-3)
     fresh = moore_penrose(op1(matrix), 1e-3)
     assert (first.rank, second.rank) == (3, 2)
-    np.testing.assert_array_equal(second.pseudoinverse.flat, fresh.pseudoinverse.flat)
+    np.testing.assert_array_equal(flatten(second.pseudoinverse), flatten(fresh.pseudoinverse))
     np.testing.assert_array_equal(second.singular_values, fresh.singular_values)
     assert (second.rank, second.cutoff, second.boundary_flag, second.penrose_residuals) == (
         fresh.rank,
@@ -280,3 +281,67 @@ def test_sweep_limit_on_negligible_column_is_not_an_error():
     f = svd_factor(m)
     np.testing.assert_allclose(f.U @ np.diag(f.singular_values) @ f.V.conj().T, m, atol=1e-15)
     np.testing.assert_allclose(f.singular_values[0], 1.0, rtol=1e-15)
+
+
+def _reference_pinv_matrix(matrix, rank_tol="auto"):
+    # the standalone path pinv_matrix took before it went through
+    # operator_pinv: one svd_factor, one rank_decision on the matrix's shape
+    matrix = np.asarray(matrix, dtype=complex)
+    f = svd_factor(matrix)
+    s = f.singular_values
+    rank, cutoff, flag = rank_decision(matrix.shape, s, rank_tol)
+    if rank == 0:
+        pinv = np.zeros((f.V.shape[0], f.U.shape[0]), dtype=complex)
+    else:
+        pinv = f.V[:, :rank] @ (f.U[:, :rank].conj().T / s[:rank, None])
+    return pinv, rank, s, cutoff, flag
+
+
+def test_pinv_matrix_matches_its_old_path_bit_for_bit(rng):
+    low_rank = random_complex(rng, 5, 2) @ random_complex(rng, 2, 4)
+    cases = [
+        (random_complex(rng, 5, 5), "auto"),
+        (random_complex(rng, 6, 3), "auto"),
+        (random_complex(rng, 3, 6), "auto"),
+        (random_complex(rng, 1, 1), "auto"),
+        (low_rank, "auto"),
+        (low_rank, 1e-6),
+        (np.diag([1.0, 3e-16]), "auto"),  # a boundary flag
+        (np.diag([1.0, 1e-7, 0.5]), 1e-6),
+        (np.zeros((2, 3)), "auto"),
+        ([[1, 2], [3, 4]], "auto"),  # integer input
+    ]
+    for matrix, rank_tol in cases:
+        ours = pinv_matrix(matrix, rank_tol)
+        pinv, rank, s, cutoff, flag = _reference_pinv_matrix(matrix, rank_tol)
+        assert ours.pinv.shape == pinv.shape and ours.pinv.tobytes() == pinv.tobytes()
+        assert ours.singular_values.tobytes() == s.tobytes()
+        assert (ours.rank, ours.cutoff, ours.boundary_flag) == (rank, cutoff, flag)
+
+
+def test_pinv_matrix_needs_a_nonempty_matrix():
+    for bad in (np.ones(3), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ConformabilityError):
+            pinv_matrix(bad)
+    # an empty matrix is no operator: it used to give an empty pseudoinverse
+    for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
+        with pytest.raises(ConformabilityError, match="at least one entry"):
+            pinv_matrix(empty)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4)], ids=("tall", "wide", "square"))
+def test_orthogonal_complement_of_svd_factors(monkeypatch, rng, shape):
+    f = svd_factor(random_complex(rng, *shape))
+    calls = count_svd_factor(monkeypatch)
+    for basis in (f.U, f.V):
+        n, k = basis.shape
+        for rank in (0, k // 2, k):
+            del calls[:]
+            complement = orthogonal_complement(basis, rank)
+            assert complement.shape == (n, n - rank)
+            assert len(calls) == (0 if k == n else 1)
+            eye = np.eye(n - rank)
+            assert np.linalg.norm(complement.conj().T @ complement - eye, 2) <= 1e-14
+            assert np.linalg.norm(basis[:, :rank].conj().T @ complement, 2) <= 1e-14
+            if k == n:
+                np.testing.assert_array_equal(complement, basis[:, rank:])

@@ -24,7 +24,15 @@ from cstarpinv.errors import (
 )
 from cstarpinv.operators import op_norm
 
-from conftest import SIG1, SIG2, SIG12, assert_penrose, random_operator
+from conftest import (
+    SIG1,
+    SIG2,
+    SIG12,
+    assert_penrose,
+    count_svd_factor,
+    random_operator,
+    random_operator_with_rank,
+)
 
 
 def op1(matrix):
@@ -477,3 +485,17 @@ def test_fuzz_corpus_consistent_with_block_flag_of_the_pair(sizes, dims, seed, c
     assert summary["inconsistent"] == 0
     records = [record for record, _, _, _ in results]
     assert [r["block_boundary_flag"] for r in records] == [r["boundary_flag"] for r in records]
+
+
+@pytest.mark.parametrize("dims, per_block", [((4, 4, 4), 3), ((4, 6, 4), 4)])
+def test_block_conditions_factorizations_per_block(monkeypatch, dims, per_block):
+    # T, S and TS once each; a tall S (m > k) has a non-square U, so its
+    # Ker(S*) basis needs one more factorization
+    rng = np.random.default_rng(11)
+    p, m, k = dims
+    t = random_operator_with_rank(SIG12, p, m, 2, rng)
+    s = random_operator_with_rank(SIG12, m, k, 2, rng)
+    calls = count_svd_factor(monkeypatch)
+    report = block_conditions(t, s)
+    assert len(calls) == per_block * len(t.blocks)
+    assert not report.boundary_flag
