@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numeric import block_norm, check_tolerance, rel_residual, spec_norm
-from .algebra import AlgebraElement, AlgebraSignature
+from .algebra import AlgebraElement, AlgebraSignature, _freeze
 from .errors import ConformabilityError, InvalidDecompositionError, SizeLimitError, StructureError
 from .module_space import ModuleVector
 
@@ -77,12 +77,6 @@ def check_block_size(signature, rows, cols):
             f"has {rows * n}x{cols * n} block matrices stacked block-diagonally; at most "
             f"{MAX_BLOCK_SIDE} rows and columns are supported"
         )
-
-
-def _freeze(matrix):
-    out = np.array(matrix, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 class AdjointableOp:

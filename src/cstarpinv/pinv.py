@@ -215,8 +215,6 @@ def operator_ranks(t, rank_tol="auto"):
 
 
 def _pinv_from_factors(f, rank):
-    if rank == 0:
-        return np.zeros((f.V.shape[0], f.U.shape[0]), dtype=complex)
     return f.V[:, :rank] @ (f.U[:, :rank].conj().T / f.singular_values[:rank, None])
 
 

@@ -223,19 +223,11 @@ def _check(residual, tol):
     return ConditionCheck(float(residual), bool(residual <= tol))
 
 
-def _theta_check(penrose, which, tol):
-    picked = [penrose[i - 1] for i in which]
-    return ConditionCheck(float(max(picked)), bool(all(r <= tol for r in picked)))
-
-
 def _certificate(pair, tol):
     """The certificate of a pair at ``tol``, from the residuals the pair holds."""
-    thm21 = tuple(_check(r, tol) for r in pair.thm21) + (
-        _theta_check(pair.penrose, (1, 2, 3), tol),
-    )
-    thm22 = tuple(_check(r, tol) for r in pair.thm22) + (
-        _theta_check(pair.penrose, (1, 2, 4), tol),
-    )
+    r1, r2, r3, r4 = pair.penrose
+    thm21 = tuple(_check(r, tol) for r in pair.thm21) + (_check(max(r1, r2, r3), tol),)
+    thm22 = tuple(_check(r, tol) for r in pair.thm22) + (_check(max(r1, r2, r4), tol),)
     greville = tuple(_check(r, tol) for r in pair.greville)
     rol_verdict = pair.residual_rol <= tol
 
@@ -533,11 +525,17 @@ def _snap(op):
     decision = operator_ranks(op)
     if decision.rank == min(op.flat_shape):
         return op
+    return _rebuild(op, decision.ranks, lambda u, s, v: (u * s) @ v.conj().T)
+
+
+def _rebuild(op, ranks, block_fn):
+    """The operator whose block ``i`` is ``block_fn(U, s, V)`` on the
+    factors of ``op``'s block ``i`` cut at ``ranks[i]``."""
     return AdjointableOp.from_blocks(
         op.signature,
         [
-            (f.U[:, :r] * f.singular_values[:r]) @ f.V[:, :r].conj().T
-            for f, r in zip(operator_svd(op), decision.ranks)
+            block_fn(f.U[:, :r], f.singular_values[:r], f.V[:, :r])
+            for f, r in zip(operator_svd(op), ranks)
         ],
     )
 
@@ -552,8 +550,7 @@ def _finish_op(op):
 
 def _range_projector(op):
     """The orthogonal projector onto the range of ``op``."""
-    bases = [f.U[:, :r] for f, r in zip(operator_svd(op), operator_ranks(op).ranks)]
-    return AdjointableOp.from_blocks(op.signature, [u @ u.conj().T for u in bases])
+    return _rebuild(op, operator_ranks(op).ranks, lambda u, *_: u @ u.conj().T)
 
 
 def _build_rol_holds(sig, p, m, k, rank_t, rank_s, rng):
@@ -607,13 +604,7 @@ def _build_thm22_only(sig, p, m, k, rank_t, rank_s, rng):
     s0 = random_operator_with_rank(sig, m, k, rs, rng)
     # Polar isometry of S0, block by block; its reduced block S1 is unitary,
     # which trivializes the commutator condition.
-    s = AdjointableOp.from_blocks(
-        sig,
-        [
-            f.U[:, :r] @ f.V[:, :r].conj().T
-            for f, r in zip(operator_svd(s0), operator_ranks(s0).ranks)
-        ],
-    )
+    s = _rebuild(s0, operator_ranks(s0).ranks, lambda u, _, v: u @ v.conj().T)
 
     a = int(rng.integers(1, min(rs, p - 1) + 1))
     b = int(rng.integers(1, min(m - rs, p - a) + 1))

@@ -1,14 +1,19 @@
-"""The benchmark's tracer must still find every name it traces.
+"""The benchmark must still run against the package.
 
 ``e2ebench/tracing.py`` wraps package functions looked up by module and
 attribute name (``SPANS``, ``COUNTED``) and the ``__init__`` of the classes
 in ``CONSTRUCTED``.  A rename or removal in the package breaks
-``e2ebench/run.py --trace 1``; this test installs and uninstalls the tracer
-against the package to catch that.
+``e2ebench/run.py --trace 1``; one test installs and uninstalls the tracer
+against the package to catch that.  The benchmark's output checks
+(``e2ebench/checks.py``) must accept the package's genuine ``pinv``,
+``check --machine`` and ``fuzz --machine`` output; another test runs
+``e2ebench/selftest.py``, which asserts that and that each check rejects a
+corrupted output.
 """
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +21,8 @@ import numpy as np
 
 import cstarpinv
 
-TRACING = Path(__file__).resolve().parent.parent / "e2ebench" / "tracing.py"
+E2EBENCH = Path(__file__).resolve().parent.parent / "e2ebench"
+TRACING = E2EBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -55,3 +61,14 @@ def test_tracer_installs_on_every_traced_name_and_restores_them():
     assert metrics["pinv.pinv_matrix.calls"]["value"] == 1
     assert metrics["pinv.svd_factor.calls"]["value"] == 1
     assert metrics["operators.AdjointableOp.calls"]["value"] == 1
+
+
+def test_benchmark_checks_accept_genuine_output_and_reject_corrupted_output():
+    proc = subprocess.run(
+        [sys.executable, str(E2EBENCH / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-test passed" in proc.stdout

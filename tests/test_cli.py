@@ -14,8 +14,13 @@ from cstarpinv.fileio import (
     read_operator_file,
     write_operator_file,
 )
-from cstarpinv.errors import OperatorFileError
-from cstarpinv.reverse_order import certificate_from_dict, certificate_to_dict
+from cstarpinv.errors import CstarPinvError, OperatorFileError
+from cstarpinv.reverse_order import (
+    GENERATOR_KINDS,
+    certificate_from_dict,
+    certificate_to_dict,
+    gen_instance,
+)
 
 from conftest import SIG12, random_operator
 
@@ -157,6 +162,56 @@ def test_cmd_check_failure_pair(tmp_path, capsys):
     assert "consistent: True" in out
 
 
+CHECK_GOLDEN = {
+    "holds": (
+        0,
+        """\
+T: T.json (sha256 4cb54d94e81ecb78...)
+S: S.json (sha256 bb6961fdfbea3e47...)
+tolerance: 1e-08
+reverse order law: holds  residual: 0.0
+thm21: (1) ok r=0.000e+00, (2) ok r=0.000e+00, (3) ok r=0.000e+00
+thm22: (1) ok r=0.000e+00, (2) ok r=0.000e+00, (3) ok r=0.000e+00
+greville inclusions: (1) ok r=0.000e+00, (2) ok r=0.000e+00
+consistent: True
+boundary flag: False
+""",
+    ),
+    "fails": (
+        1,
+        """\
+T: T.json (sha256 0c8e5726991a1945...)
+S: S.json (sha256 ff278acda0576a54...)
+tolerance: 1e-08
+reverse order law: fails  residual: 0.2500000000000001
+thm21: (1) FAIL r=2.500e-01, (2) FAIL r=3.536e-01, (3) FAIL r=2.500e-01
+thm22: (1) FAIL r=2.500e-01, (2) FAIL r=4.142e-01, (3) FAIL r=2.500e-01
+greville inclusions: (1) FAIL r=3.536e-01, (2) FAIL r=4.142e-01
+consistent: True
+boundary flag: False
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
+def test_cmd_check_human_output_is_pinned(tmp_path, capsys, monkeypatch, case):
+    # 2x2 operators over [1,2]: one block matrix of size 2 and one of size 4
+    def op(b1, b2):
+        return AdjointableOp.from_blocks(SIG12, [np.array(b1, complex), np.array(b2, complex)])
+
+    if case == "holds":
+        t = op([[2, 0], [0, 1]], np.diag([2, 1, 1, 0.5]))
+        s = op([[1, 0], [0, 4]], np.diag([1, 1, 1, 4]))
+    else:
+        t = op([[1, 0], [0, 0]], np.kron([[1, 0], [0, 0]], np.eye(2)))
+        s = op([[1, 0], [1, 0]], np.kron([[1, 0], [1, 0]], np.eye(2)))
+    monkeypatch.chdir(tmp_path)
+    write_operator_file("T.json", t)
+    write_operator_file("S.json", s)
+    assert run(capsys, "check", "T.json", "S.json") == (*CHECK_GOLDEN[case], "")
+
+
 def test_cmd_check_machine_roundtrip(tmp_path, capsys):
     path_t = write(tmp_path, "T.json", op1([[1, 0], [0, 0]]))
     path_s = write(tmp_path, "S.json", op1([[1, 0], [1, 0]]))
@@ -202,12 +257,46 @@ def test_cmd_fuzz_validation(tmp_path, capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "fuzz", "--count", "5", "--seed", "1", "--signature", "1,x")
     assert code == 2
-    # thm21_only needs rank S >= 2, so k >= 2; refused before any attempt
-    code, _, err = run(
-        capsys, "fuzz", "--count", "5", "--seed", "1", "--dims", "4,4,1", "--kinds", "thm21_only"
+    # thm21_only needs rank S >= 2, so k >= 2: the generator's own message,
+    # raised at the first thm21_only instance, before anything is printed
+    code, out, err = run(
+        capsys, "fuzz", "--count", "5", "--seed", "1", "--dims", "4,4,1",
+        "--kinds", "generic,thm21_only",
     )
-    assert code == 2 and "thm21_only needs dims k >= 2" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: thm21_only needs rank_S >= 2")
     assert not tmp_path.joinpath("fuzz-failures").exists()
+
+
+KIND_DIMS = [
+    (kind, (p, m, k))
+    for kind in GENERATOR_KINDS
+    for p in (1, 2, 3)
+    for m in (1, 2, 3)
+    for k in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, dims", KIND_DIMS, ids=[f"{kind}-{p},{m},{k}" for kind, (p, m, k) in KIND_DIMS]
+)
+def test_cmd_fuzz_refuses_exactly_what_gen_instance_cannot_build(
+    tmp_path, capsys, monkeypatch, kind, dims
+):
+    p, m, k = dims
+    try:
+        gen_instance(kind, (p, m, p) if kind == "s_adjoint" else dims, seed=0)
+        message = None
+    except CstarPinvError as exc:
+        message = f"error: {exc}\n"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "fuzz", "--kinds", kind, "--dims", f"{p},{m},{k}", "--count", "1", "--seed", "0"
+    )
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (2, "", message)
 
 
 def test_main_reuses_one_parser_and_prints_what_a_fresh_one_prints(
@@ -298,26 +387,20 @@ def test_cmd_fuzz_machine_determinism(tmp_path, capsys, monkeypatch):
 
 
 def test_fuzz_dump_and_replay(tmp_path, capsys, monkeypatch):
-    # inject a checker that misreports consistency so the dump path runs
+    # a checker that misreports consistency, so the dump path runs
     def broken_check(t, s, tol=1e-8):
         cert = check_corollary(t, s, tol)
         if not cert.boundary_flag:
             cert = dataclasses.replace(cert, consistent=False)
         return cert
 
+    monkeypatch.setattr(cli, "check_corollary", broken_check)
     records, summary = cli.run_fuzz(
-        (4, 4, 4),
-        6,
-        123,
-        AlgebraSignature((1,)),
-        ("generic",),
-        1e-8,
-        check_fn=broken_check,
+        (4, 4, 4), 6, 123, AlgebraSignature((1,)), ("generic",), 1e-8
     )
     assert summary["inconsistent"] >= 1
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "check_corollary", broken_check)
     code, out, _ = run(
         capsys,
         "fuzz",
@@ -484,16 +567,16 @@ def test_operator_file_rejects_oversized_shape(tmp_path, capsys, monkeypatch):
     assert "at most 2048" in err
 
 
-def test_run_fuzz_keeps_operators_of_inconsistent_instances_only():
+def test_run_fuzz_keeps_operators_of_inconsistent_instances_only(monkeypatch):
     def broken_check(t, s, tol=1e-8):
         cert = check_corollary(t, s, tol)
         if cert.rol_verdict and not cert.boundary_flag:
             cert = dataclasses.replace(cert, consistent=False)
         return cert
 
+    monkeypatch.setattr(cli, "check_corollary", broken_check)
     results, summary = cli.run_fuzz(
-        (3, 3, 3), 6, 5, AlgebraSignature((1,)), ("generic", "rol_holds"), 1e-8,
-        check_fn=broken_check,
+        (3, 3, 3), 6, 5, AlgebraSignature((1,)), ("generic", "rol_holds"), 1e-8
     )
     assert 0 < summary["inconsistent"] < 6
     for record, _, t_op, s_op in results:
