@@ -68,14 +68,14 @@ class Lemma1Form:
         )
 
 
-def lemma1_form(t, rank_tol="auto"):
+def lemma1_form(t):
     """Extract the canonical diagonal form of ``t``.
 
     The zero operator is allowed and yields empty ``T1`` blocks.
     """
     per_block = [
         _lemma1_block(*parts)
-        for parts in zip(t.blocks, operator_svd(t), operator_ranks(t, rank_tol).ranks)
+        for parts in zip(t.blocks, operator_svd(t), operator_ranks(t).ranks)
     ]
     v1, v2, u1, u2, t1, off = zip(*per_block)
     residual = block_norm(off) / (1.0 + block_norm(t.blocks))
@@ -107,7 +107,7 @@ def _projection_bases(p_op):
     return bases
 
 
-def _split_form(t, p_op, rank_tol, form_block):
+def _split_form(t, p_op, form_block):
     """Fields of a block-row or block-column form, in dataclass order.
 
     ``form_block(m, f, rank, (W1, W2))`` returns ``T1, T2``, the Gram block,
@@ -115,7 +115,7 @@ def _split_form(t, p_op, rank_tol, form_block):
     algebra block; the formula is compared with the SVD pseudoinverse.
     """
     bases = _projection_bases(p_op)
-    reference = operator_pinv(t, rank_tol)
+    reference = operator_pinv(t)
     per_block = [
         form_block(*parts)
         for parts in zip(t.blocks, operator_svd(t), reference.decision.ranks, bases)
@@ -140,7 +140,7 @@ class RowBlockForm:
     range_basis: tuple
 
 
-def row_block_form(t, p, rank_tol="auto"):
+def row_block_form(t, p):
     """Blocks of ``t`` against ``Ran(p) (+) Ker(p)`` on the domain.
 
     ``p`` must be an orthogonal projection on the domain of ``t`` (accepted
@@ -151,7 +151,7 @@ def row_block_form(t, p, rank_tol="auto"):
     p_op = p.op if isinstance(p, Projection) else p
     if p_op.rows != p_op.cols or p_op.cols != t.cols or p_op.signature != t.signature:
         raise InvalidDecompositionError("projection must act on the domain of t")
-    return RowBlockForm(*_split_form(t, p_op, rank_tol, _row_block))
+    return RowBlockForm(*_split_form(t, p_op, _row_block))
 
 
 def _row_block(m, f, rank, bases):
@@ -178,7 +178,7 @@ class ColBlockForm:
     corange_basis: tuple
 
 
-def col_block_form(t, q, rank_tol="auto"):
+def col_block_form(t, q):
     """Blocks of ``t`` against ``Ran(q) (+) Ker(q)`` on the codomain.
 
     Dual of :func:`row_block_form`: the domain is split into
@@ -188,7 +188,7 @@ def col_block_form(t, q, rank_tol="auto"):
     q_op = q.op if isinstance(q, Projection) else q
     if q_op.rows != q_op.cols or q_op.cols != t.rows or q_op.signature != t.signature:
         raise InvalidDecompositionError("projection must act on the codomain of t")
-    return ColBlockForm(*_split_form(t, q_op, rank_tol, _col_block))
+    return ColBlockForm(*_split_form(t, q_op, _col_block))
 
 
 def _col_block(m, f, rank, bases):

@@ -102,7 +102,8 @@ def main(argv=None):
             if args.command == "check":
                 return _cmd_check(args)
             return _cmd_fuzz(args)
-    except CstarPinvError as exc:
+    except (CstarPinvError, OSError) as exc:
+        # An OSError is a path refused for writing (--out, --dump-dir); it names the path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -129,6 +130,9 @@ def _cmd_pinv(args):
     op = read_operator_file(args.file)
     rank_tol = _parse_rank_tol(args.tol)
     result = moore_penrose(op, rank_tol)
+    # Written before the report, so an unwritable --out leaves stdout empty.
+    if args.out:
+        write_operator_file(args.out, result.pseudoinverse)
     print(f"file: {args.file}")
     print(f"signature: {list(op.signature.block_sizes)}  shape: {op.rows}x{op.cols}")
     print(f"rank: {result.rank}")
@@ -141,7 +145,6 @@ def _cmd_pinv(args):
     print(f"penrose residuals: {residuals}")
     print(f"boundary flag: {result.boundary_flag}")
     if args.out:
-        write_operator_file(args.out, result.pseudoinverse)
         print(f"pseudoinverse written to: {args.out}")
     return EXIT_HOLDS
 
@@ -271,6 +274,8 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
 def _cmd_fuzz(args):
     if args.count < 1:
         raise CstarPinvError("--count must be >= 1")
+    if args.seed < 0:
+        raise CstarPinvError("--seed must be >= 0")
     if not positive_finite(args.tol):
         raise CstarPinvError("--tol must be positive and finite")
     dims = _parse_int_list(args.dims, "--dims")

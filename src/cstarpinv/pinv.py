@@ -1,8 +1,10 @@
 """Rank-revealing factorization and Moore-Penrose inverses.
 
 Every factorization is one LAPACK SVD (``numpy.linalg.svd``, economy size)
-followed by a fixed phase convention, so results are reproducible run to
-run.  A factorization that LAPACK reports as not converged raises
+with its factors as LAPACK returns them; LAPACK is deterministic, so results
+are reproducible run to run.  Results read the factors only through norms and
+products that no unit phase of a singular pair changes (``V S^+ U*``, ``U U*``).
+A factorization that LAPACK reports as not converged raises
 :class:`FactorizationError` rather than returning unconverged factors.
 
 A module operator is one matrix ``T_i`` per algebra block, and its
@@ -62,9 +64,10 @@ EPS = 2.0 ** -52
 class SvdFactors:
     """Economy SVD ``M = U @ diag(s) @ V.conj().T``.
 
-    ``U`` and ``V`` have orthonormal columns; singular values are sorted in
-    descending order; the first nonzero component of every column of ``V``
-    is real nonnegative.
+    ``U`` and ``V`` have orthonormal columns and singular values are sorted
+    in descending order.  Each singular pair ``(u_j, v_j)`` is fixed only up
+    to one common unit phase; the factors are NumPy's ``u`` and
+    ``vh.conj().T`` unchanged.
     """
 
     U: np.ndarray
@@ -91,8 +94,7 @@ def svd_factor(matrix):
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
         raise FactorizationError(f"SVD of a {m}x{n} matrix did not converge") from None
-    u, v = _fix_phases(u, vh.conj().T)
-    return SvdFactors(u, s, v)
+    return SvdFactors(u, s, vh.conj().T)
 
 
 def operator_svd(t):
@@ -124,23 +126,6 @@ def orthogonal_complement(basis, rank):
         return basis[:, rank:]
     rest = svd_factor(np.eye(n, dtype=complex) - basis @ basis.conj().T).U[:, : n - k]
     return np.concatenate([basis[:, rank:], rest], axis=1)
-
-
-def _fix_phases(u, v):
-    """Rotate each factor pair so V's first nonzero component is real >= 0.
-
-    Every column's leading index comes from one ``argmax`` over the
-    ``abs(v) > 1e-12`` mask.  Each column's phase is then the scalar
-    ``lead.conj() / abs(lead)``; an array division would round differently.
-    All phases are then applied in one multiply per factor.
-    """
-    mask = np.abs(v) > 1e-12
-    leads = v[mask.argmax(axis=0), np.arange(v.shape[1])]
-    phase = np.ones(v.shape[1], dtype=complex)
-    for j in np.flatnonzero(mask.any(axis=0)):
-        lead = leads[j]
-        phase[j] = lead.conj() / abs(lead)
-    return u * phase, v * phase
 
 
 @dataclass(frozen=True)

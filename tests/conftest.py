@@ -3,7 +3,7 @@
 Oracles deliberately avoid the package's factorization path: dense algebra
 is done with plain ``numpy`` calls (``numpy.linalg.svd`` / ``pinv`` /
 ``eigvalsh``) on whole matrices, so expected values do not pass through the
-package's per-block factors, phase convention, caches or rank decisions.
+package's per-block factors, caches or rank decisions.
 """
 
 import os

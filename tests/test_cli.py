@@ -110,6 +110,15 @@ def test_cmd_pinv_malformed(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["missing/pinv.json", ""], ids=("no-parent", "directory"))
+def test_cmd_pinv_unwritable_out_exits_2(tmp_path, capsys, target):
+    path = write(tmp_path, "identity.json", AdjointableOp.identity(AlgebraSignature((1,)), 2))
+    out_path = str(tmp_path / target)
+    code, out, err = run(capsys, "pinv", path, "--out", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and out_path in err
+
+
 def test_cmd_pinv_module_signature(tmp_path, capsys, rng):
     op = random_operator(SIG12, 2, 3, rng)
     path = write(tmp_path, "mod.json", op)
@@ -386,15 +395,16 @@ def test_cmd_fuzz_machine_determinism(tmp_path, capsys, monkeypatch):
     assert payload["summary"]["inconsistent"] == 0
 
 
-def test_fuzz_dump_and_replay(tmp_path, capsys, monkeypatch):
-    # a checker that misreports consistency, so the dump path runs
-    def broken_check(t, s, tol=1e-8):
-        cert = check_corollary(t, s, tol)
-        if not cert.boundary_flag:
-            cert = dataclasses.replace(cert, consistent=False)
-        return cert
+def _misreporting_check(t, s, tol=1e-8):
+    """A checker that misreports consistency, so the dump path runs."""
+    cert = check_corollary(t, s, tol)
+    if not cert.boundary_flag:
+        cert = dataclasses.replace(cert, consistent=False)
+    return cert
 
-    monkeypatch.setattr(cli, "check_corollary", broken_check)
+
+def test_fuzz_dump_and_replay(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_corollary", _misreporting_check)
     records, summary = cli.run_fuzz(
         (4, 4, 4), 6, 123, AlgebraSignature((1,)), ("generic",), 1e-8
     )
@@ -423,6 +433,16 @@ def test_fuzz_dump_and_replay(tmp_path, capsys, monkeypatch):
     code2, out2, _ = run(capsys, "check", stem + "_T.json", stem + "_S.json", "--machine")
     assert out1 == out2
     assert code1 == code2
+
+
+def test_fuzz_dump_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_corollary", _misreporting_check)
+    blocker = tmp_path / "dumps"
+    blocker.write_text("")
+    argv = ("fuzz", "--count", "6", "--seed", "123", "--kinds", "generic")
+    code, out, err = run(capsys, *argv, "--dump-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(blocker) in err
 
 
 def test_console_entrypoint_subprocess(tmp_path, child_env):

@@ -151,6 +151,10 @@ BAD_COUNT = st.one_of(
     st.integers(-100, 0).map(str),
     st.sampled_from(["", "x", "1.5", "1e3", "ten"]),
 )
+BAD_SEED = st.one_of(
+    st.integers(max_value=-1).map(str),
+    st.sampled_from(["", "x", "1.5"]),
+)
 
 
 @SETTINGS
@@ -161,6 +165,7 @@ BAD_COUNT = st.one_of(
         BAD_KINDS.map(lambda v: f"--kinds={v}"),
         BAD_TOL.map(lambda v: f"--tol={v}"),
         BAD_COUNT.map(lambda v: f"--count={v}"),
+        BAD_SEED.map(lambda v: f"--seed={v}"),
     )
 )
 def test_bad_fuzz_arguments_exit_2(option):

@@ -1,10 +1,9 @@
-"""Bit identity of the batched norm path and of the phase convention.
+"""Bit identity of the batched norm path.
 
 Every residual the package reports takes its norms through
 :func:`cstarpinv._numeric.spec_norms`, one stacked LAPACK call per matrix
-shape, and every factorization goes through :func:`cstarpinv.pinv._fix_phases`.
-Both must reproduce the per-matrix and per-column computations they replaced
-bit for bit, so that no certificate, report or fuzz record moves.
+shape.  It must reproduce the per-matrix norms it replaced bit for bit, so
+that no certificate, report or fuzz record moves.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 
 from cstarpinv._numeric import block_norm, rel_residual, rel_residuals, spec_norm, spec_norms
 from cstarpinv.errors import FactorizationError
-from cstarpinv.pinv import _fix_phases, svd_factor
+from cstarpinv.pinv import svd_factor
 
 from conftest import random_complex
 
@@ -74,38 +73,6 @@ def test_batched_residuals_equal_per_matrix_residuals(rng):
     expected = [_rel_residual_by_matrix(lhs, rhs) for lhs, rhs in identities]
     assert _bits(rel_residuals(identities)) == _bits(expected)
     assert _bits(rel_residual(lhs, rhs) for lhs, rhs in identities) == _bits(expected)
-
-
-def _fix_phases_by_column(u, v):
-    """The phase convention as one scalar rotation per column, in place."""
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size == 0:
-            continue
-        lead = col[nz[0]]
-        phase = lead.conj() / abs(lead)
-        v[:, j] = col * phase
-        u[:, j] = u[:, j] * phase
-    return u, v
-
-
-def test_fix_phases_equals_the_column_loop():
-    rng = np.random.default_rng(1500)
-    with_zero_columns = 0
-    for _ in range(1500):
-        rows, cols = int(rng.integers(3, 25)), int(rng.integers(9, 25))
-        a = random_complex(rng, rows, cols)
-        if rng.random() < 0.3:
-            a[:, rng.choice(cols, 2, replace=False)] = 0.0
-            with_zero_columns += 1
-        u, _, vh = np.linalg.svd(a, full_matrices=False)
-        v = vh.conj().T
-        got_u, got_v = _fix_phases(u.copy(), v.copy())
-        want_u, want_v = _fix_phases_by_column(u.copy(), v.copy())
-        assert got_u.tobytes() == want_u.tobytes()
-        assert got_v.tobytes() == want_v.tobytes()
-    assert 350 <= with_zero_columns <= 550
 
 
 def test_non_finite_matrices_raise_factorization_errors():

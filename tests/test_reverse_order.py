@@ -485,6 +485,72 @@ def test_fuzz_corpus_consistent_with_block_flag_of_the_pair(sizes, dims, seed, c
     assert summary["inconsistent"] == 0
     records = [record for record, _, _, _ in results]
     assert [r["block_boundary_flag"] for r in records] == [r["boundary_flag"] for r in records]
+    # each kind's guarantee, on every unflagged instance
+    for r in records:
+        if r["boundary_flag"]:
+            continue
+        triple_a, triple_b = all(r["thm21_verdicts"]), all(r["thm22_verdicts"])
+        if r["kind"] in ("rol_holds", "s_adjoint"):
+            assert r["rol_verdict"], r
+        elif r["kind"] == "thm21_only":
+            assert triple_a and not triple_b, r
+        elif r["kind"] == "thm22_only":
+            assert triple_b and not triple_a, r
+
+
+def _verdicts(t, s):
+    """Everything a verdict reads for the pair, and the law residual."""
+    cert = check_corollary(t, s)
+    report = block_conditions(t, s)
+    ranks = [(mp.rank, mp.cutoff, mp.boundary_flag) for mp in map(moore_penrose, (t, s))]
+    verdicts = (
+        cert.rol_verdict,
+        [c.verdict for c in cert.thm21 + cert.thm22 + cert.greville],
+        cert.consistent,
+        cert.boundary_flag,
+        report.thm21_verdicts(),
+        report.thm22_verdicts(),
+        report.boundary_flag,
+        ranks,
+    )
+    return verdicts, cert.residual_rol
+
+
+@pytest.mark.parametrize(
+    "sizes, dims", [((1,), (4, 4, 4)), ((1, 2), (4, 4, 4)), ((2, 2, 3), (3, 3, 3))]
+)
+def test_no_verdict_reads_the_phase_of_a_singular_pair(monkeypatch, sizes, dims):
+    # Each singular pair (u_j, v_j) is fixed only up to one unit phase, so
+    # rotating every pair by a random phase must leave every verdict alone.
+    import cstarpinv.pinv as pinv_module
+    from cstarpinv.algebra import AlgebraSignature
+
+    signature = AlgebraSignature(sizes)
+    p, m, k = dims
+    pairs = [
+        gen_instance(
+            kind, (p, m, p) if kind == "s_adjoint" else dims, signature=signature, seed=seed
+        )
+        for kind in ro.GENERATOR_KINDS
+        for seed in range(4)
+    ]
+    expected = [_verdicts(t, s) for t, s in pairs]
+
+    rng = np.random.default_rng(19)
+    exact = pinv_module.svd_factor
+
+    def rotated(matrix):
+        f = exact(matrix)
+        phase = np.exp(2j * np.pi * rng.random(f.singular_values.size))
+        return pinv_module.SvdFactors(f.U * phase, f.singular_values, f.V * phase)
+
+    monkeypatch.setattr(pinv_module, "svd_factor", rotated)
+    for (t, s), (verdicts, residual) in zip(pairs, expected):
+        # fresh copies carry no cached factors
+        fresh = [AdjointableOp.from_blocks(op.signature, op.blocks) for op in (t, s)]
+        got_verdicts, got_residual = _verdicts(*fresh)
+        assert got_verdicts == verdicts
+        assert abs(got_residual - residual) <= 1e-12
 
 
 @pytest.mark.parametrize("dims, per_block", [((4, 4, 4), 3), ((4, 6, 4), 4)])
