@@ -251,15 +251,16 @@ def _check_same_shape(t, s):
 
 
 class Projection:
-    """An operator validated to satisfy ``P == P*`` and ``P @ P == P``."""
+    """An operator validated to satisfy ``P == P*`` and ``P @ P == P``, each
+    to within ``1e-8 * (1 + ||P||)``."""
 
     __slots__ = ("op",)
 
-    def __init__(self, op, tol=1e-8):
-        scale = 1.0 + op_norm(op)
-        if block_norm([p - p.conj().T for p in op.blocks]) > tol * scale:
+    def __init__(self, op):
+        bound = 1e-8 * (1.0 + op_norm(op))
+        if block_norm([p - p.conj().T for p in op.blocks]) > bound:
             raise InvalidDecompositionError("operator is not self-adjoint")
-        if block_norm([p @ p - p for p in op.blocks]) > tol * scale:
+        if block_norm([p @ p - p for p in op.blocks]) > bound:
             raise InvalidDecompositionError("operator is not idempotent")
         object.__setattr__(self, "op", op)
 
@@ -327,6 +328,7 @@ def unflatten(matrix, signature, shape, tol=1e-8):
     ``||matrix - flatten(result)|| <= tol * (1 + ||matrix||)``, otherwise the
     input was not algebra-linear and a :class:`StructureError` is raised.
     """
+    check_tolerance(tol, "tol")
     op, off = _unflatten_with_mass(matrix, signature, shape)
     if off > tol * (1.0 + spec_norm(matrix)):
         raise StructureError(

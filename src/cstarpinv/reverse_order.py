@@ -148,12 +148,6 @@ class _Pair:
     """
 
     def __init__(self, t_op, s_op):
-        if t_op.signature != s_op.signature:
-            raise ConformabilityError("signatures differ")
-        if t_op.cols != s_op.rows:
-            raise ConformabilityError(
-                f"TS undefined: T is {t_op.rows}x{t_op.cols}, S is {s_op.rows}x{s_op.cols}"
-            )
         ts_op = compose(t_op, s_op)
         t_mp, s_mp, ts_mp = (operator_pinv(op) for op in (t_op, s_op, ts_op))
         self.blocks = blocks = tuple(
@@ -432,13 +426,12 @@ def _block_terms(t1, t2, s1, p_ts1):
     )
 
 
-def gen_instance(kind, dims, ranks=None, signature=None, seed=0):
+def gen_instance(kind, dims, signature=None, seed=0):
     """Generate a structured operator pair ``(T, S)`` with ``TS`` defined.
 
     ``dims = (p, m, k)`` gives ``T: A^m -> A^p`` and ``S: A^k -> A^m``.
-    ``ranks`` optionally pins ``(rank_T, rank_S)`` (module-level ranks);
-    unspecified ranks are drawn from the seeded stream.  Supported kinds,
-    each with the invariant its construction guarantees:
+    Every rank is drawn from the seeded stream.  Supported kinds, each with
+    the invariant its construction guarantees:
 
     * ``generic``: unconstrained random pair; no invariant.
     * ``rol_holds``: ``S = W R`` and ``T* = W R'``, so
@@ -447,8 +440,7 @@ def gen_instance(kind, dims, ranks=None, signature=None, seed=0):
     * ``thm21_only``: ``T = P1 R1 P_W + Q1 R2 Q_W`` with ``P_W`` the
       projector onto ``Ran(S)``; ``T*T`` leaves ``Ran(S)`` invariant, so
       triple A holds, and ``rank P1 < rank S`` is drawn, so triple B fails
-      (requires ``rank_S >= 2``, hence ``m, k >= 2``; ``rank_T`` is not
-      used).
+      (requires ``rank_S >= 2``, hence ``m, k >= 2``).
     * ``thm22_only``: ``S`` a partial isometry and ``T* = V1 A* + V2 B*``
       with ``Ran(V1) <= Ran(S)`` and ``Ran(V2) <= Ker(S*)``, so
       ``SS*T* = V1 A*`` and triple B holds; triple A generically fails, as
@@ -457,30 +449,25 @@ def gen_instance(kind, dims, ranks=None, signature=None, seed=0):
     * ``s_adjoint``: ``S = T*`` exactly, so the law holds (requires
       ``k == p``).
 
-    Structured kinds are verified post hoc with the check operations and
-    resampled up to 100 times; the invariants above make rejections rare
-    (an attempt whose rank decisions are boundary noise).
-    :class:`GenerationError` signals exhaustion, or, at once, a thm21_only
-    request with no rank pair that breaks triple B.
+    Dims at which a kind cannot be built raise :class:`ConformabilityError`
+    before anything is drawn.  Structured kinds are verified post hoc with
+    the check operations and resampled up to 100 times; the invariants
+    above make rejections rare (an attempt whose rank decisions are
+    boundary noise).  :class:`GenerationError` signals exhaustion.
     """
     p, m, k = (int(x) for x in dims)
     if min(p, m, k) < 1:
         raise ConformabilityError(f"dims must be positive, got {dims}")
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {GENERATOR_KINDS}")
-    sig = signature if signature is not None else AlgebraSignature((1,))
-    rng = np.random.default_rng(seed)
-
-    rank_t = rank_s = None
-    if ranks is not None:
-        rank_t, rank_s = ranks
-        if rank_t is not None and not 1 <= rank_t <= min(p, m):
-            raise ConformabilityError(f"rank_T={rank_t} infeasible for dims {dims}")
-        if rank_s is not None and not 1 <= rank_s <= min(m, k):
-            raise ConformabilityError(f"rank_S={rank_s} infeasible for dims {dims}")
-
     if kind == "s_adjoint" and k != p:
         raise ConformabilityError("s_adjoint requires k == p so that S = T* conforms")
+    if kind == "thm21_only" and min(m, k) < 2:
+        raise ConformabilityError("thm21_only requires m >= 2 and k >= 2")
+    if kind == "thm22_only" and min(p, m) < 2:
+        raise ConformabilityError("thm22_only requires p >= 2 and m >= 2")
+    sig = signature if signature is not None else AlgebraSignature((1,))
+    rng = np.random.default_rng(seed)
 
     builder = {
         "generic": _build_generic,
@@ -490,26 +477,25 @@ def gen_instance(kind, dims, ranks=None, signature=None, seed=0):
         "s_adjoint": _build_s_adjoint,
     }[kind]
     for _ in range(_MAX_RETRIES):
-        built = builder(sig, p, m, k, rank_t, rank_s, rng)
+        built = builder(sig, p, m, k, rng)
         if built is not None:
             return built
     raise GenerationError(f"could not generate a {kind!r} instance for dims {dims}")
 
 
-def _draw_rank(pinned, upper, rng):
-    if pinned is not None:
-        return min(pinned, upper)
+def _draw_rank(upper, rng):
+    """A rank drawn uniformly from ``1 .. upper``."""
     return int(rng.integers(1, upper + 1))
 
 
-def _build_generic(sig, p, m, k, rank_t, rank_s, rng):
-    t = random_operator_with_rank(sig, p, m, _draw_rank(rank_t, min(p, m), rng), rng)
-    s = random_operator_with_rank(sig, m, k, _draw_rank(rank_s, min(m, k), rng), rng)
+def _build_generic(sig, p, m, k, rng):
+    t = random_operator_with_rank(sig, p, m, _draw_rank(min(p, m), rng), rng)
+    s = random_operator_with_rank(sig, m, k, _draw_rank(min(m, k), rng), rng)
     return t, s
 
 
-def _build_s_adjoint(sig, p, m, k, rank_t, rank_s, rng):
-    t = random_operator_with_rank(sig, p, m, _draw_rank(rank_t, min(p, m), rng), rng)
+def _build_s_adjoint(sig, p, m, k, rng):
+    t = random_operator_with_rank(sig, p, m, _draw_rank(min(p, m), rng), rng)
     return t, adjoint_op(t)
 
 
@@ -553,9 +539,8 @@ def _range_projector(op):
     return _rebuild(op, operator_ranks(op).ranks, lambda u, *_: u @ u.conj().T)
 
 
-def _build_rol_holds(sig, p, m, k, rank_t, rank_s, rng):
-    shared = rank_t if rank_t is not None else rank_s
-    r = _draw_rank(shared, min(p, m, k), rng)
+def _build_rol_holds(sig, p, m, k, rng):
+    r = _draw_rank(min(p, m, k), rng)
     w = random_operator(sig, m, r, rng)
     s = _finish_op(w @ random_operator(sig, r, k, rng))
     t = _finish_op(adjoint_op(w @ random_operator(sig, r, p, rng)))
@@ -564,7 +549,7 @@ def _build_rol_holds(sig, p, m, k, rank_t, rank_s, rng):
     return (t, s) if ok else None
 
 
-def _build_thm21_only(sig, p, m, k, rank_t, rank_s, rng):
+def _build_thm21_only(sig, p, m, k, rng):
     # T = P1 R1 P_W + Q1 R2 Q_W maps Ran(S) = Ran(W) into Ran(P1) and its
     # complement into Ker(P1), so T*T leaves Ran(S) invariant and
     # Ran(T*TS) <= Ran(S) (triple A) always holds.  Ran(SS*T*) is SS* applied
@@ -572,13 +557,8 @@ def _build_thm21_only(sig, p, m, k, rank_t, rank_s, rng):
     # min(rank P1, rank S), so Ran(SS*T*) <= Ran(T*) (triple B) generically
     # fails exactly when rank P1 < rank S: only such rank pairs are drawn,
     # uniformly.
-    s_ranks = [rank_s] if rank_s is not None else range(1, min(m, k) + 1)
+    s_ranks = range(2, min(m, k) + 1)
     pairs = [(rs, r1) for rs in s_ranks for r1 in range(1, min(rs - 1, max(1, p - 1)) + 1)]
-    if not pairs:
-        raise GenerationError(
-            f"thm21_only needs rank_S >= 2 (rank_S > rank P1 >= 1); "
-            f"none possible for dims {(p, m, k)} and ranks {(rank_t, rank_s)}"
-        )
     rs, r1 = pairs[int(rng.integers(len(pairs)))]
     w = random_operator(sig, m, rs, rng)
     s = _finish_op(w @ random_operator(sig, rs, k, rng))
@@ -597,17 +577,15 @@ def _build_thm21_only(sig, p, m, k, rank_t, rank_s, rng):
     return (t, s) if ok21 and not ok22 else None
 
 
-def _build_thm22_only(sig, p, m, k, rank_t, rank_s, rng):
-    if m < 2 or p < 2:
-        raise ConformabilityError("thm22_only requires p >= 2 and m >= 2")
-    rs = _draw_rank(rank_s, min(m - 1, k), rng)
+def _build_thm22_only(sig, p, m, k, rng):
+    rs = _draw_rank(min(m - 1, k), rng)
     s0 = random_operator_with_rank(sig, m, k, rs, rng)
     # Polar isometry of S0, block by block; its reduced block S1 is unitary,
     # which trivializes the commutator condition.
     s = _rebuild(s0, operator_ranks(s0).ranks, lambda u, _, v: u @ v.conj().T)
 
-    a = int(rng.integers(1, min(rs, p - 1) + 1))
-    b = int(rng.integers(1, min(m - rs, p - a) + 1))
+    a = _draw_rank(min(rs, p - 1), rng)
+    b = _draw_rank(min(m - rs, p - a), rng)
     v1 = s @ random_operator(sig, k, a, rng)
     q_w = AdjointableOp.identity(sig, m) - s @ adjoint_op(s)
     v2 = q_w @ random_operator(sig, m, b, rng)

@@ -23,21 +23,16 @@ __all__ = [
 
 
 def random_element(signature, rng):
-    """Complex Ginibre blocks, entries N(0, 1) / sqrt(2) per part."""
-    blocks = []
-    for n in signature.block_sizes:
-        blocks.append(
-            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            / np.sqrt(2.0)
-        )
-    return AlgebraElement(signature, blocks)
+    """Complex Ginibre blocks, entries N(0, 1) / sqrt(2) per part: the single
+    entry of a 1x1 :func:`random_operator`."""
+    return AlgebraElement(signature, random_operator(signature, 1, 1, rng).blocks)
 
 
 def random_operator(signature, rows, cols, rng):
     """Operator whose entries are independent :func:`random_element` draws."""
     sizes = signature.block_sizes
     # Per entry, each block draws its n*n real parts and then its n*n
-    # imaginary parts, exactly as random_element does.
+    # imaginary parts.
     draws = rng.standard_normal((rows, cols, 2 * signature.dim))
     blocks = []
     pos = 0

@@ -242,6 +242,11 @@ def test_cmd_check_shape_mismatch(tmp_path, capsys, rng):
     code, _, err = run(capsys, "check", path_t, path_s)
     assert code == 2
     assert "signature" in err
+    # same signature, but T's 3 columns do not meet S's 2 rows: compose's refusal
+    path_t = write(tmp_path, "T.json", random_operator(AlgebraSignature((1,)), 2, 3, rng))
+    path_s = write(tmp_path, "S.json", random_operator(AlgebraSignature((1,)), 2, 3, rng))
+    code, out, err = run(capsys, "check", path_t, path_s, "--machine")
+    assert (code, out, err) == (2, "", "error: inner dimensions differ: 2x3 times 2x3\n")
 
 
 def test_cmd_check_boundary_exit(tmp_path, capsys):
@@ -266,14 +271,14 @@ def test_cmd_fuzz_validation(tmp_path, capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "fuzz", "--count", "5", "--seed", "1", "--signature", "1,x")
     assert code == 2
-    # thm21_only needs rank S >= 2, so k >= 2: the generator's own message,
+    # thm21_only needs rank S >= 2, so m, k >= 2: the generator's own message,
     # raised at the first thm21_only instance, before anything is printed
     code, out, err = run(
         capsys, "fuzz", "--count", "5", "--seed", "1", "--dims", "4,4,1",
         "--kinds", "generic,thm21_only",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: thm21_only needs rank_S >= 2")
+    assert err.startswith("error: thm21_only requires m >= 2 and k >= 2")
     assert not tmp_path.joinpath("fuzz-failures").exists()
 
 
@@ -630,13 +635,37 @@ def test_cmd_check_and_fuzz_reject_non_finite_tol(tmp_path, capsys, monkeypatch)
 
 
 def test_library_rejects_non_finite_tolerances():
-    from cstarpinv import range_inclusion, theta_class
+    from cstarpinv import (
+        AlgebraElement,
+        Projection,
+        elem_is_positive,
+        range_inclusion,
+        theta_class,
+        unflatten,
+    )
+    from cstarpinv.errors import InvalidDecompositionError
     from cstarpinv.pinv import moore_penrose, rank_decision
     from cstarpinv.reverse_order import block_conditions, check_corollary, check_thm21
 
     t = op1([[1, 0], [0, 1]])
     zero = AdjointableOp.zero(AlgebraSignature((1,)), 2, 2)
+    sig2 = AlgebraSignature((2,))
+    nilpotent = AlgebraElement(sig2, [[[0, 1], [0, 0]]])
+    one = AlgebraElement.identity(sig2)
+    not_linear = np.arange(16.0).reshape(4, 4)
+    # Projection's tolerance is fixed at 1e-8; it takes none
+    with pytest.raises(InvalidDecompositionError):
+        Projection(op1([[1, 2], [3, 4]]))
+    with pytest.raises(TypeError):
+        Projection(op1([[1, 2], [3, 4]]), tol=float("nan"))
     for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        for elem in (nilpotent, -one):
+            with pytest.raises(ValueError):
+                elem_is_positive(elem, bad)
+        with pytest.raises(ValueError):
+            unflatten(not_linear, sig2, (1, 1), tol=bad)
+        with pytest.raises(ValueError):
+            one.allclose(5.0 * one, tol=bad)
         with pytest.raises(ValueError):
             rank_decision((2, 2), np.array([1.0, 0.5]), bad)
         with pytest.raises(ValueError):

@@ -300,3 +300,24 @@ def test_flattening_map_matches_index_reference_bit_for_bit(sig, shape):
             assert all(_same_bits(a, b) for a, b in zip(back.blocks, reference))
             expected_off = spec_norm(matrix - _reference_flatten(back))
             assert off == expected_off == off_pattern_mass(matrix, sig, shape)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (1, 2), (2, 2, 3)])
+def test_random_operator_is_successive_random_element_draws(sizes):
+    # an r x c operator is r*c successive element draws, row-major, bit for
+    # bit, and leaves the stream where those draws leave it
+    sig = AlgebraSignature(sizes)
+    rows, cols = 3, 2
+    whole_rng, entry_rng = np.random.default_rng(5), np.random.default_rng(5)
+    whole = random_operator(sig, rows, cols, whole_rng)
+    by_entry = AdjointableOp(
+        [[random_element(sig, entry_rng) for _ in range(cols)] for _ in range(rows)]
+    )
+    for a, b in zip(whole.blocks, by_entry.blocks):
+        assert a.tobytes() == b.tobytes()
+    assert whole_rng.standard_normal() == entry_rng.standard_normal()
+    # an element is complex Ginibre, block by block: real parts, then imaginary
+    elem_rng, oracle = np.random.default_rng(6), np.random.default_rng(6)
+    for n, block in zip(sizes, random_element(sig, elem_rng).blocks):
+        re, im = oracle.standard_normal((n, n)), oracle.standard_normal((n, n))
+        assert block.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes()

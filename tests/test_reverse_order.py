@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -144,15 +145,20 @@ def test_conformability():
 
 
 def test_block_conditions_full_rank_s(rng):
-    # invertible S: block verdicts must match the theorem-level verdicts
+    # invertible S (a Ginibre draw), T of every rank: block verdicts must
+    # match the theorem-level verdicts
+    compared = 0
     for i in range(20):
-        t, s = gen_instance("generic", (4, 4, 4), ranks=(None, 4), seed=40 + i)
+        t = random_operator_with_rank(SIG1, 4, 4, 1 + i % 4, rng)
+        s = random_operator(SIG1, 4, 4, rng)
         cert = check_corollary(t, s)
         report = block_conditions(t, s)
         if cert.boundary_flag or report.boundary_flag:
             continue
+        compared += 1
         assert report.thm21_verdicts() == tuple(c.verdict for c in cert.thm21)
         assert report.thm22_verdicts() == tuple(c.verdict for c in cert.thm22)
+    assert compared >= 10
 
 
 def test_block_conditions_agree_generic(rng):
@@ -262,7 +268,7 @@ def test_gen_instance_kinds():
     t, s = gen_instance("s_adjoint", (3, 4, 3), seed=1)
     assert op_norm(s - adjoint_op(t)) == 0.0
 
-    t, s = gen_instance("rol_holds", (5, 5, 5), ranks=(2, 2), seed=2)
+    t, s = gen_instance("rol_holds", (5, 5, 5), seed=2)
     cert = check_corollary(t, s)
     assert cert.rol_verdict and all(c.verdict for c in cert.greville)
 
@@ -293,8 +299,6 @@ def test_gen_instance_validation():
     with pytest.raises(ConformabilityError):
         gen_instance("s_adjoint", (3, 4, 2), seed=0)  # k != p
     with pytest.raises(ConformabilityError):
-        gen_instance("generic", (3, 4, 2), ranks=(5, 1), seed=0)
-    with pytest.raises(ConformabilityError):
         gen_instance("generic", (0, 4, 2), seed=0)
     with pytest.raises(ValueError):
         gen_instance("bogus", (3, 3, 3), seed=0)
@@ -302,16 +306,17 @@ def test_gen_instance_validation():
         gen_instance("thm22_only", (1, 1, 1), seed=0)
 
 
-def _count_thm21_attempts(monkeypatch):
-    """Patch the thm21_only builder to log each attempt; returns the log."""
+def _count_attempts(monkeypatch, kinds=("thm21_only",)):
+    """Patch the builders of ``kinds`` to log each attempt; returns the log."""
     attempts = []
-    build = ro._build_thm21_only
+    for kind in kinds:
+        build = getattr(ro, f"_build_{kind}")
 
-    def counting(*args):
-        attempts.append(args)
-        return build(*args)
+        def counting(*args, build=build):
+            attempts.append(args)
+            return build(*args)
 
-    monkeypatch.setattr(ro, "_build_thm21_only", counting)
+        monkeypatch.setattr(ro, f"_build_{kind}", counting)
     return attempts
 
 
@@ -320,22 +325,36 @@ def test_thm21_only_attempts_per_instance(monkeypatch, sig, most):
     # only rank pairs that break triple B are drawn; the rejections left are
     # attempts whose rank decisions are boundary-flagged noise (2.36 and
     # 1.99 attempts per instance while every rank pair was drawn)
-    attempts = _count_thm21_attempts(monkeypatch)
+    attempts = _count_attempts(monkeypatch)
     seeds = range(1000, 1400)
     for seed in seeds:
         gen_instance("thm21_only", (4, 4, 4), signature=sig, seed=seed)
     assert len(attempts) / len(seeds) <= most
 
 
-def test_thm21_only_without_a_breaking_rank_pair_fails_at_once(monkeypatch):
-    # rank P1 >= 1 and rank P1 < rank S need rank S >= 2
-    attempts = _count_thm21_attempts(monkeypatch)
-    with pytest.raises(GenerationError):
-        gen_instance("thm21_only", (4, 4, 4), ranks=(None, 1), seed=0)
-    with pytest.raises(GenerationError):
-        gen_instance("thm21_only", (4, 4, 1), seed=0)
-    assert len(attempts) == 2
-    t, s = gen_instance("thm21_only", (4, 4, 4), ranks=(None, 2), seed=0)
+# The dims each kind needs: thm21_only draws rank S > rank P1 >= 1, so
+# m, k >= 2; thm22_only draws rank S <= m - 1 and T's ranks a, b >= 1 with
+# a + b <= p, so p, m >= 2; s_adjoint needs S = T* to conform.
+REFUSED = {
+    "s_adjoint": lambda p, m, k: k != p,
+    "thm21_only": lambda p, m, k: min(m, k) < 2,
+    "thm22_only": lambda p, m, k: min(p, m) < 2,
+}
+
+
+def test_gen_instance_refuses_infeasible_dims_before_any_draw(monkeypatch):
+    calls = _count_attempts(monkeypatch, ro.GENERATOR_KINDS)
+    for kind in ro.GENERATOR_KINDS:
+        for dims in itertools.product((1, 2, 3), repeat=3):
+            calls.clear()
+            if REFUSED.get(kind, lambda *_: False)(*dims):
+                with pytest.raises(ConformabilityError):
+                    gen_instance(kind, dims, seed=0)
+                assert calls == [], (kind, dims)
+            else:
+                gen_instance(kind, dims, seed=0)
+                assert calls, (kind, dims)
+    t, s = gen_instance("thm21_only", (4, 2, 2), seed=0)
     assert ro._pair(t, s).s_decision.rank == 2
     assert all(c.verdict for c in check_thm21(t, s))
     assert not all(c.verdict for c in check_thm22(t, s))
