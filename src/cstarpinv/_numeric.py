@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import FactorizationError
+from .errors import FactorizationError, ParameterError
 
 
 def spec_norms(matrices):
@@ -92,12 +92,13 @@ def inverse(m):
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=complex)) if m.size else m
 
 
-def positive_finite(value):
-    """Whether ``value`` is a positive finite number (NaN is not)."""
-    return 0.0 < value < math.inf
-
-
 def check_tolerance(value, name):
-    """Raise ``ValueError`` unless ``value`` is a positive finite number."""
-    if not positive_finite(value):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    """``value`` as a float; :class:`ParameterError` naming ``name`` unless
+    ``float(value)`` is a positive finite number (NaN is not)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not 0.0 < number < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+    return number

@@ -130,7 +130,7 @@ class AlgebraElement:
         return elem_norm(self)
 
     def allclose(self, other, tol=1e-12):
-        check_tolerance(tol, "tol")
+        tol = check_tolerance(tol, "tol")
         _check_same_signature(self, other)
         scale = 1.0 + max(elem_norm(self), elem_norm(other))
         return elem_norm(self - other) <= tol * scale
@@ -174,7 +174,7 @@ def elem_is_positive(a, tol=1e-10):
     then that every eigenvalue of the Hermitian part clears ``-tol * ||a||``.
     Non-self-adjoint elements are never classified as positive.
     """
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     norm_a = elem_norm(a)
     if elem_norm(a - elem_adjoint(a)) > tol * (1.0 + norm_a):
         return False

@@ -11,15 +11,17 @@ block row (resp. column) and the pseudoinverse has the closed forms
     [[G^-1 T1*, G^-1 T2*], [0, 0]]     with G = T1* T1 + T2* T2,
 
 where ``D`` and ``G`` are positive and invertible on ``Ran(T)`` and
-``Ran(T*)``.  Over ``A = (+)_i M_{n_i}(C)`` every one of these submodules
-splits per algebra block, so each form is one small decomposition per block
-matrix of the operator (see :mod:`cstarpinv.operators`): every matrix field
-holds one matrix per algebra block, the assembled pseudoinverses are
-operators, and each residual's norms are the largest over blocks, taken
-separately for the numerator and for the ``1 + ||.||`` denominator.  The
-bases come from the operator's cached block SVDs
-(:func:`cstarpinv.pinv.operator_svd`), cut at the one rank decision
-:func:`cstarpinv.pinv.moore_penrose` makes, and no flattening is built.
+``Ran(T*)``; one helper forms a block row's ``T1``, ``T2``, ``D`` and
+``D^-1``, here and for :func:`cstarpinv.reverse_order.block_conditions`.
+Over ``A = (+)_i M_{n_i}(C)`` every one of these submodules splits per
+algebra block, so each form is one small decomposition per block matrix of
+the operator (see :mod:`cstarpinv.operators`): every matrix field holds one
+matrix per algebra block, the assembled pseudoinverses are operators, and
+each residual's norms are the largest over blocks, taken separately for the
+numerator and for the ``1 + ||.||`` denominator.  The bases come from the
+operator's cached block SVDs (:func:`cstarpinv.pinv.operator_svd`), cut at
+the one rank decision :func:`cstarpinv.pinv.moore_penrose` makes, and no
+flattening is built.
 """
 
 from __future__ import annotations
@@ -157,11 +159,17 @@ def row_block_form(t, p):
 def _row_block(m, f, rank, bases):
     w1, w2 = bases
     u1 = f.U[:, :rank]
+    t1, t2, d, d_inv = _block_row(m, u1, w1, w2)
+    formula = (w1 @ t1.conj().T + w2 @ t2.conj().T) @ d_inv @ u1.conj().T
+    return t1, t2, d, formula, w1, w2, u1
+
+
+def _block_row(m, u1, w1, w2):
+    """Block row of ``m`` from ``Ran(W1) (+) Ran(W2)`` into ``Ran(U1)``: ``T1, T2, D, D^-1``."""
     t1 = u1.conj().T @ m @ w1
     t2 = u1.conj().T @ m @ w2
     d = t1 @ t1.conj().T + t2 @ t2.conj().T
-    formula = (w1 @ t1.conj().T + w2 @ t2.conj().T) @ inverse(d) @ u1.conj().T
-    return t1, t2, d, formula, w1, w2, u1
+    return t1, t2, d, inverse(d)
 
 
 @dataclass(frozen=True)

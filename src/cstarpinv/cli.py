@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._numeric import positive_finite
+from ._numeric import check_tolerance
 from .algebra import AlgebraSignature
 from .errors import CstarPinvError, OperatorFileError
 from .fileio import dumps_canonical, file_digest, read_operator_file, write_operator_file
@@ -112,23 +112,9 @@ def console_main():
     sys.exit(main())
 
 
-def _parse_rank_tol(text):
-    if text == "auto":
-        return "auto"
-    try:
-        value = float(text)
-    except ValueError:
-        raise OperatorFileError("--tol", f"expected a float or 'auto', got {text!r}")
-    if not positive_finite(value):
-        raise OperatorFileError(
-            "--tol", f"rank tolerance must be positive and finite, got {text!r}"
-        )
-    return value
-
-
 def _cmd_pinv(args):
     op = read_operator_file(args.file)
-    rank_tol = _parse_rank_tol(args.tol)
+    rank_tol = args.tol if args.tol == "auto" else check_tolerance(args.tol, "--tol")
     result = moore_penrose(op, rank_tol)
     # Written before the report, so an unwritable --out leaves stdout empty.
     if args.out:
@@ -152,8 +138,7 @@ def _cmd_pinv(args):
 def _cmd_check(args):
     t_op = read_operator_file(args.fileT)
     s_op = read_operator_file(args.fileS)
-    if not positive_finite(args.tol):
-        raise CstarPinvError("--tol must be positive and finite")
+    check_tolerance(args.tol, "--tol")
     cert = check_corollary(t_op, s_op, args.tol)
     digests = {"T": file_digest(args.fileT), "S": file_digest(args.fileS)}
     payload = certificate_to_dict(cert, __version__, digests)
@@ -276,8 +261,7 @@ def _cmd_fuzz(args):
         raise CstarPinvError("--count must be >= 1")
     if args.seed < 0:
         raise CstarPinvError("--seed must be >= 0")
-    if not positive_finite(args.tol):
-        raise CstarPinvError("--tol must be positive and finite")
+    check_tolerance(args.tol, "--tol")
     dims = _parse_int_list(args.dims, "--dims")
     if len(dims) != 3:
         raise CstarPinvError("--dims needs exactly three integers p,m,k")

@@ -21,6 +21,11 @@ class DegenerateDecompositionError(CstarPinvError):
     """A block decomposition was requested for an operator without one."""
 
 
+class ParameterError(CstarPinvError, ValueError):
+    """A parameter is outside its domain: a tolerance that is not a positive
+    finite number, or an unknown generator kind."""
+
+
 class FactorizationError(CstarPinvError, ValueError):
     """An SVD or a norm did not converge, or its matrix has non-finite entries."""
 

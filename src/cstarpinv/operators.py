@@ -328,7 +328,7 @@ def unflatten(matrix, signature, shape, tol=1e-8):
     ``||matrix - flatten(result)|| <= tol * (1 + ||matrix||)``, otherwise the
     input was not algebra-linear and a :class:`StructureError` is raised.
     """
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     op, off = _unflatten_with_mass(matrix, signature, shape)
     if off > tol * (1.0 + spec_norm(matrix)):
         raise StructureError(
@@ -377,7 +377,7 @@ def range_inclusion(b, c, tol=1e-8):
         raise ConformabilityError("signatures differ")
     if b.rows != c.rows:
         raise ConformabilityError("operators must share a codomain")
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     projected = [
         cb @ (cp @ bb) for bb, cb, cp in zip(b.blocks, c.blocks, operator_pinv(c).blocks)
     ]
@@ -387,6 +387,7 @@ def range_inclusion(b, c, tol=1e-8):
 
 def projection_onto_range(t):
     """The orthogonal projection ``t t^+`` onto ``Ran(t)`` as an operator."""
-    from .pinv import moore_penrose
+    from .pinv import operator_pinv
 
-    return Projection(compose(t, moore_penrose(t).pseudoinverse))
+    blocks = [m @ x for m, x in zip(t.blocks, operator_pinv(t).blocks)]
+    return Projection(AdjointableOp.from_blocks(t.signature, blocks))

@@ -148,8 +148,7 @@ def rank_decision(shape, singular_values, rank_tol="auto"):
     cutoff, marking the rank decision as numerically fragile.
     """
     if rank_tol != "auto":
-        rank_tol = float(rank_tol)
-        check_tolerance(rank_tol, "rank_tol")
+        rank_tol = check_tolerance(rank_tol, "rank_tol")
     s = singular_values
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
@@ -257,6 +256,10 @@ def moore_penrose(t, rank_tol="auto"):
     correspond to the defining equations ``TXT = T``, ``XTX = X``,
     ``(TX)* = TX`` and ``(XT)* = XT``.
     """
+    if not isinstance(t, AdjointableOp):
+        raise ConformabilityError(
+            "moore_penrose takes an AdjointableOp; use pinv_matrix for a plain matrix"
+        )
     mp = operator_pinv(t, rank_tol)
     x = AdjointableOp.from_blocks(t.signature, mp.blocks)
     residuals = penrose_residuals(t.blocks, x.blocks)
@@ -302,7 +305,7 @@ def theta_class(t, x, tol=1e-8):
     at most ``tol``; the unique {1,2,3,4}-inverse is the Moore-Penrose
     inverse.
     """
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     if t.signature != x.signature:
         raise ConformabilityError("signatures differ")
     if (x.rows, x.cols) != (t.cols, t.rows):

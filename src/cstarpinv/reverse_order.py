@@ -31,15 +31,15 @@ identity of the certificate, each evaluated once when the pair is built.
 The norms of all those residuals are taken in one batch, one LAPACK call
 per matrix shape (see :func:`cstarpinv._numeric.rel_residuals`), and so
 are those of the eight block conditions; the values are those of
-per-matrix norms bit for bit.
-It is cached on ``T`` for the last ``S`` it was paired with (matched by
-identity) and built from the operators' cached SVDs, so generation's
-verification, :func:`check_corollary`, the triple checks and
-:func:`block_conditions` factor ``T``, ``S`` and ``TS`` once between them,
-and a certificate at a second tolerance evaluates no residual.  The block
-conditions make no rank decision of their own: ``(T1 S1)^+`` is read from
-the pair's ``(TS)^+``.  The shared data depend on neither ``tol`` nor
-anything else, so sharing leaves every residual unchanged.
+per-matrix norms bit for bit.  The data are cached on ``T`` for the last
+``S`` it was paired with (matched by identity) and built from the
+operators' cached SVDs, so generation's verification and every check of
+the pair factor ``T``, ``S`` and ``TS`` once between them, and a
+certificate at a second tolerance evaluates no residual.  The block
+conditions make no rank decision or reduction of their own: ``(T1 S1)^+``
+is read from the pair's ``(TS)^+``, ``T1``, ``T2`` and ``D^-1`` from the
+block row of :mod:`cstarpinv.canonical_forms`.  The shared data depend on
+neither ``tol`` nor anything else, so sharing changes no residual.
 
 In infinite dimensions these equivalences require the ranges of ``T``,
 ``S`` and ``TS`` to be closed (equivalently, the pseudoinverses to be
@@ -55,10 +55,12 @@ import numpy as np
 
 from ._numeric import block_norm, check_tolerance, inverse, rel_residuals
 from .algebra import AlgebraSignature
+from .canonical_forms import _block_row
 from .errors import (
     ConformabilityError,
     DegenerateDecompositionError,
     GenerationError,
+    ParameterError,
 )
 from .operators import AdjointableOp, adjoint_op, compose
 from .pinv import (
@@ -250,13 +252,13 @@ def _certificate(pair, tol):
 
 def check_thm21(t_op, s_op, tol=DEFAULT_TOL):
     """Residual/verdict pairs for the three conditions of triple A."""
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     return _certificate(_pair(t_op, s_op), tol).thm21
 
 
 def check_thm22(t_op, s_op, tol=DEFAULT_TOL):
     """Residual/verdict pairs for the three conditions of triple B."""
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     return _certificate(_pair(t_op, s_op), tol).thm22
 
 
@@ -268,7 +270,7 @@ def check_corollary(t_op, s_op, tol=DEFAULT_TOL):
     range inclusions hold).  The assertion is only meaningful when
     ``boundary_flag`` is unset.
     """
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     return _certificate(_pair(t_op, s_op), tol)
 
 
@@ -358,20 +360,19 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     """Evaluate the eight proof-level block residuals for a pair.
 
     ``S`` must be nonzero so that ``S1`` is a nonempty invertible block.
-    Everything is read from the pair's shared data (see :class:`_Pair`):
-    the canonical coordinates come from the cached block SVDs of ``T`` and
-    ``S`` cut at the pair's rank decisions, and ``(T1 S1)^+`` is the pair's
-    ``(TS)^+`` in those coordinates, since ``T1 S1`` is ``TS`` between
-    ``Ran(S*)`` and ``Ran(T)``.  Each residual's norms are the largest over
-    blocks, and the report carries the pair's flag (a fragile rank of
-    ``T``, ``S`` or ``TS``), the certificate's flag.
+    Everything is read from the pair's shared data (see :class:`_Pair`), cut
+    at its rank decisions: ``T1``, ``T2`` and ``D^-1`` are the canonical
+    forms' block row of ``T`` against ``S``'s cached split, and ``(T1 S1)^+``
+    is the pair's ``(TS)^+`` in those coordinates (``T1 S1`` is ``TS``
+    between ``Ran(S*)`` and ``Ran(T)``).  Each norm is the largest over
+    blocks, and the report carries the pair's flag, the certificate's.
     """
-    check_tolerance(tol, "tol")
+    tol = check_tolerance(tol, "tol")
     pair = _pair(t_op, s_op)
     if pair.s_decision.rank == 0:
         raise DegenerateDecompositionError("S is zero; no invertible block S1")
     per_block = [
-        _block_terms(*_reduce_block(*parts))
+        _block_terms(*parts)
         for parts in zip(
             pair.blocks,
             operator_svd(t_op),
@@ -387,27 +388,16 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     return BlockConditionReport(*rel_residuals(identities), pair.flagged(tol), float(tol))
 
 
-def _reduce_block(b, ft, fs, rank_t, rank_s):
-    """``T1``, ``T2``, ``S1`` and ``(T1 S1)^+`` of one algebra block.
-
-    ``S1`` maps ``Ran(S*)`` onto ``Ran(S)``; ``[T1, T2]`` maps
-    ``Ran(S) (+) Ker(S*)`` into ``Ran(T)``; ``(T1 S1)^+`` is
-    ``V_{S,1}* (TS)^+ U_{T,1}``.
-    """
-    us1 = fs.U[:, :rank_s]
-    us2 = orthogonal_complement(fs.U, rank_s)
-    vs1 = fs.V[:, :rank_s]
-    s1 = us1.conj().T @ b.s @ vs1
-    ut1 = ft.U[:, :rank_t]
-    p_ts1 = vs1.conj().T @ b.tsp @ ut1
-    return ut1.conj().T @ b.t @ us1, ut1.conj().T @ b.t @ us2, s1, p_ts1
-
-
-def _block_terms(t1, t2, s1, p_ts1):
+def _block_terms(b, ft, fs, rank_t, rank_s):
     """``(lhs, rhs)`` of the eight block residuals on one algebra block, in
     the order of :class:`BlockConditionReport`; ``rhs`` is ``None`` for an
-    identity ``lhs == 0``."""
-    d_inv = inverse(t1 @ t1.conj().T + t2 @ t2.conj().T)
+    identity ``lhs == 0``.  ``T1``, ``T2`` and ``D^-1`` are ``T``'s block row
+    against ``S``'s split, ``S1 = U_{S,1}* S V_{S,1}`` and
+    ``(T1 S1)^+ = V_{S,1}* (TS)^+ U_{T,1}``."""
+    us1, vs1, ut1 = fs.U[:, :rank_s], fs.V[:, :rank_s], ft.U[:, :rank_t]
+    t1, t2, _, d_inv = _block_row(b.t, ut1, us1, orthogonal_complement(fs.U, rank_s))
+    s1 = us1.conj().T @ b.s @ vs1
+    p_ts1 = vs1.conj().T @ b.tsp @ ut1
     s1_inv = inverse(s1)
     ts1 = t1 @ s1
     t1t1 = t1 @ t1.conj().T
@@ -455,18 +445,20 @@ def gen_instance(kind, dims, signature=None, seed=0):
     above make rejections rare (an attempt whose rank decisions are
     boundary noise).  :class:`GenerationError` signals exhaustion.
     """
+    if len(dims) != 3 or min(dims) < 1:
+        raise ConformabilityError(f"dims must be three positive integers p, m, k, got {dims}")
     p, m, k = (int(x) for x in dims)
-    if min(p, m, k) < 1:
-        raise ConformabilityError(f"dims must be positive, got {dims}")
     if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; choose from {GENERATOR_KINDS}")
+        raise ParameterError(f"unknown kind {kind!r}; choose from {GENERATOR_KINDS}")
     if kind == "s_adjoint" and k != p:
         raise ConformabilityError("s_adjoint requires k == p so that S = T* conforms")
     if kind == "thm21_only" and min(m, k) < 2:
         raise ConformabilityError("thm21_only requires m >= 2 and k >= 2")
     if kind == "thm22_only" and min(p, m) < 2:
         raise ConformabilityError("thm22_only requires p >= 2 and m >= 2")
-    sig = signature if signature is not None else AlgebraSignature((1,))
+    sig = AlgebraSignature((1,)) if signature is None else signature
+    if not isinstance(sig, AlgebraSignature):
+        raise ConformabilityError(f"signature must be an AlgebraSignature, got {signature!r}")
     rng = np.random.default_rng(seed)
 
     builder = {

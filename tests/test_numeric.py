@@ -9,8 +9,15 @@ that no certificate, report or fuzz record moves.
 import numpy as np
 import pytest
 
-from cstarpinv._numeric import block_norm, rel_residual, rel_residuals, spec_norm, spec_norms
-from cstarpinv.errors import FactorizationError
+from cstarpinv._numeric import (
+    block_norm,
+    check_tolerance,
+    rel_residual,
+    rel_residuals,
+    spec_norm,
+    spec_norms,
+)
+from cstarpinv.errors import CstarPinvError, FactorizationError, ParameterError
 from cstarpinv.pinv import svd_factor
 
 from conftest import random_complex
@@ -82,3 +89,13 @@ def test_non_finite_matrices_raise_factorization_errors():
         svd_factor(np.array([[np.inf, 1.0]]))
     with np.errstate(all="ignore"), pytest.raises(FactorizationError, match="2x2 matrix"):
         spec_norms([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+
+
+def test_check_tolerance_is_the_one_tolerance_rule():
+    assert check_tolerance(1e-8, "tol") == 1e-8
+    assert check_tolerance("1e-3", "--tol") == 1e-3
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1e-3, "nope", "", None):
+        with pytest.raises(ParameterError, match="^rank_tol must be positive and finite") as info:
+            check_tolerance(bad, "rank_tol")
+        # the library promises ValueError; the CLI maps any CstarPinvError to exit 2
+        assert isinstance(info.value, ValueError) and isinstance(info.value, CstarPinvError)

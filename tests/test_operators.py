@@ -227,6 +227,33 @@ def test_projection_validation(rng):
         Projection(random_operator(SIG1, 4, 4, rng))
 
 
+def test_projection_onto_range_reads_the_pseudoinverse_blocks(monkeypatch, rng):
+    # T T^+ from the per-block pseudoinverses: bit for bit the product with
+    # moore_penrose's pseudoinverse, without the Penrose residuals it would
+    # evaluate and discard (one norm batch fewer)
+    import cstarpinv._numeric as numeric
+    from cstarpinv import projection_onto_range
+
+    batches = []
+    spec_norms = numeric.spec_norms
+
+    def counting(matrices):
+        batches.append(1)
+        return spec_norms(matrices)
+
+    monkeypatch.setattr(numeric, "spec_norms", counting)
+    for sig, shape in ((SIG1, (4, 3)), (SIG12, (3, 4)), (SIG2, (3, 3))):
+        t = random_operator_with_rank(sig, *shape, 2, rng)
+        fresh = [AdjointableOp.from_blocks(sig, t.blocks) for _ in range(2)]
+        batches.clear()
+        p = projection_onto_range(fresh[0])
+        new_batches = len(batches)
+        old = Projection(fresh[1] @ moore_penrose(fresh[1]).pseudoinverse)
+        assert len(batches) - new_batches == new_batches + 1
+        for a, b in zip(p.op.blocks, old.op.blocks):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_operator_immutable(rng):
     t = random_operator(SIG1, 2, 2, rng)
     with pytest.raises(AttributeError):

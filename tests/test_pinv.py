@@ -11,7 +11,7 @@ from cstarpinv import (
     svd_factor,
     theta_class,
 )
-from cstarpinv.errors import ConformabilityError
+from cstarpinv.errors import ConformabilityError, ParameterError
 from cstarpinv.operators import op_norm, range_inclusion
 from cstarpinv.pinv import orthogonal_complement, penrose_residuals, rank_decision
 
@@ -327,6 +327,24 @@ def test_pinv_matrix_needs_a_nonempty_matrix():
     for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
         with pytest.raises(ConformabilityError, match="at least one entry"):
             pinv_matrix(empty)
+
+
+def test_moore_penrose_refuses_a_plain_matrix():
+    # it used to end in AttributeError: 'numpy.ndarray' object has no attribute '_svd'
+    with pytest.raises(ConformabilityError, match="pinv_matrix"):
+        moore_penrose(np.eye(2))
+
+
+def test_rank_tol_that_is_no_number_names_rank_tol():
+    # float("x") used to escape with float's own message
+    for call in (
+        lambda: moore_penrose(op1(np.eye(2)), rank_tol="x"),
+        lambda: rank_decision((2, 2), np.array([1.0, 0.5]), "x"),
+        lambda: pinv_matrix(np.eye(2), rank_tol=None),
+    ):
+        with pytest.raises(ParameterError, match="rank_tol must be positive and finite"):
+            call()
+    assert pinv_matrix(np.eye(2), rank_tol="1e-3").rank == 2
 
 
 @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4)], ids=("tall", "wide", "square"))

@@ -22,6 +22,7 @@ from cstarpinv.errors import (
     ConformabilityError,
     DegenerateDecompositionError,
     GenerationError,
+    ParameterError,
 )
 from cstarpinv.operators import op_norm
 
@@ -300,10 +301,18 @@ def test_gen_instance_validation():
         gen_instance("s_adjoint", (3, 4, 2), seed=0)  # k != p
     with pytest.raises(ConformabilityError):
         gen_instance("generic", (0, 4, 2), seed=0)
-    with pytest.raises(ValueError):
-        gen_instance("bogus", (3, 3, 3), seed=0)
     with pytest.raises(ConformabilityError):
         gen_instance("thm22_only", (1, 1, 1), seed=0)
+    # every refusal goes through the package's errors, never a stray
+    # unpacking ValueError or AttributeError
+    with pytest.raises(ParameterError, match="unknown kind 'bogus'") as info:
+        gen_instance("bogus", (3, 3, 3), seed=0)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(ConformabilityError, match="dims"):
+        gen_instance("generic", (3, 3), seed=0)
+    for signature in ((1, 2), [1, 2]):
+        with pytest.raises(ConformabilityError, match="signature"):
+            gen_instance("generic", (3, 3, 3), signature=signature, seed=0)
 
 
 def _count_attempts(monkeypatch, kinds=("thm21_only",)):
@@ -570,6 +579,30 @@ def test_no_verdict_reads_the_phase_of_a_singular_pair(monkeypatch, sizes, dims)
         got_verdicts, got_residual = _verdicts(*fresh)
         assert got_verdicts == verdicts
         assert abs(got_residual - residual) <= 1e-12
+
+
+def test_block_conditions_and_row_block_form_share_one_reduction(monkeypatch):
+    # T1, T2, D and D^-1 are formed in canonical_forms._block_row alone:
+    # the block conditions and the block-row form each call it once per
+    # algebra block, so a second copy of the reduction fails here
+    from cstarpinv import AlgebraSignature, projection_onto_range, row_block_form
+    from cstarpinv.canonical_forms import _block_row
+
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args))
+        return _block_row(*args)
+
+    _patch_everywhere(monkeypatch, _block_row, counting)
+    for sig, dims in ((SIG12, (4, 4, 4)), (AlgebraSignature((2, 2, 3)), (3, 4, 3))):
+        t, s = map(_fresh, gen_instance("generic", dims, signature=sig, seed=3))
+        blocks = len(sig.block_sizes)
+        block_conditions(t, s)
+        assert len(calls) == blocks
+        row_block_form(t, projection_onto_range(s))
+        assert len(calls) == 2 * blocks
+        calls.clear()
 
 
 @pytest.mark.parametrize("dims, per_block", [((4, 4, 4), 3), ((4, 6, 4), 4)])
