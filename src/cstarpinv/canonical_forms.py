@@ -95,12 +95,8 @@ def _lemma1_block(m, f, rank):
 
 
 def _projection_bases(p_op):
-    """Per-block orthonormal bases ``(W1, W2)`` of the range and kernel of a projection.
-
-    ``p_op`` is validated as a :class:`Projection` (at 1e-8); its bases come
-    from its own cached block SVDs.
-    """
-    Projection(p_op)
+    """Per-block orthonormal bases ``(W1, W2)`` of the range and kernel of a
+    validated projection, from its own cached block SVDs."""
     bases = []
     for f in operator_svd(p_op):
         # Spectrum of a projection is {0, 1}; 1/2 separates the clusters.
@@ -109,21 +105,27 @@ def _projection_bases(p_op):
     return bases
 
 
-def _split_form(t, p_op, form_block):
+def _split_form(t, p, side, space, form_block):
     """Fields of a block-row or block-column form, in dataclass order.
 
+    ``p`` splits the ``space`` of ``t`` (``side`` wide): a
+    :class:`Projection`, or a raw operator validated as one here.
     ``form_block(m, f, rank, (W1, W2))`` returns ``T1, T2``, the Gram block,
     the pseudoinverse formula, ``W1, W2`` and the canonical basis of one
     algebra block; the formula is compared with the SVD pseudoinverse.
     """
+    p_op = p.op if isinstance(p, Projection) else p
+    if p_op.rows != p_op.cols or p_op.cols != side or p_op.signature != t.signature:
+        raise InvalidDecompositionError(f"projection must act on the {space} of t")
+    if not isinstance(p, Projection):
+        Projection(p_op)
     bases = _projection_bases(p_op)
-    reference = operator_pinv(t)
+    reference, decision = operator_pinv(t)
     per_block = [
-        form_block(*parts)
-        for parts in zip(t.blocks, operator_svd(t), reference.decision.ranks, bases)
+        form_block(*parts) for parts in zip(t.blocks, operator_svd(t), decision.ranks, bases)
     ]
     t1, t2, gram, formula, w1, w2, basis = zip(*per_block)
-    residual = rel_residual(reference.blocks, formula)
+    residual = rel_residual(reference, formula)
     formula = AdjointableOp.from_blocks(t.signature, formula)
     return t1, t2, gram, formula, residual, w1, w2, basis
 
@@ -145,15 +147,13 @@ class RowBlockForm:
 def row_block_form(t, p):
     """Blocks of ``t`` against ``Ran(p) (+) Ker(p)`` on the domain.
 
-    ``p`` must be an orthogonal projection on the domain of ``t`` (accepted
-    as :class:`Projection` or a raw operator, validated at 1e-8).  The
-    assembled pseudoinverse ``(W1 T1* + W2 T2*) D^-1 U1^H`` is returned with
-    its deviation from the SVD pseudoinverse.
+    ``p`` must be an orthogonal projection on the domain of ``t``: a
+    :class:`Projection`, validated when it was made, or a raw operator,
+    validated here at 1e-8.  The assembled pseudoinverse
+    ``(W1 T1* + W2 T2*) D^-1 U1^H`` is returned with its deviation from the
+    SVD pseudoinverse.
     """
-    p_op = p.op if isinstance(p, Projection) else p
-    if p_op.rows != p_op.cols or p_op.cols != t.cols or p_op.signature != t.signature:
-        raise InvalidDecompositionError("projection must act on the domain of t")
-    return RowBlockForm(*_split_form(t, p_op, _row_block))
+    return RowBlockForm(*_split_form(t, p, t.cols, "domain", _row_block))
 
 
 def _row_block(m, f, rank, bases):
@@ -193,10 +193,7 @@ def col_block_form(t, q):
     ``Ran(T*) (+) Ker(T)`` and the assembled pseudoinverse is
     ``V1 G^-1 (T1* W1^H + T2* W2^H)`` with ``G = T1* T1 + T2* T2``.
     """
-    q_op = q.op if isinstance(q, Projection) else q
-    if q_op.rows != q_op.cols or q_op.cols != t.rows or q_op.signature != t.signature:
-        raise InvalidDecompositionError("projection must act on the codomain of t")
-    return ColBlockForm(*_split_form(t, q_op, _col_block))
+    return ColBlockForm(*_split_form(t, q, t.rows, "codomain", _col_block))
 
 
 def _col_block(m, f, rank, bases):

@@ -171,13 +171,13 @@ def _print_certificate(args, cert, digests):
     print(f"boundary flag: {cert.boundary_flag}")
 
 
-def _parse_int_list(text, field, minimum=1):
+def _parse_int_list(text, field):
     try:
         values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise OperatorFileError(field, f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < minimum for v in values):
-        raise OperatorFileError(field, f"expected integers >= {minimum}, got {text!r}")
+    if not values or min(values) < 1:
+        raise OperatorFileError(field, f"expected integers >= 1, got {text!r}")
     return values
 
 

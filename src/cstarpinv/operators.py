@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance, rel_residual, spec_norm
+from ._numeric import block_norm, check_tolerance, rel_residual, spec_norm, spec_norms
 from .algebra import AlgebraElement, AlgebraSignature, _freeze
 from .errors import ConformabilityError, InvalidDecompositionError, SizeLimitError, StructureError
 from .module_space import ModuleVector
@@ -257,10 +257,15 @@ class Projection:
     __slots__ = ("op",)
 
     def __init__(self, op):
-        bound = 1e-8 * (1.0 + op_norm(op))
-        if block_norm([p - p.conj().T for p in op.blocks]) > bound:
+        blocks = op.blocks
+        n = len(blocks)
+        norms = spec_norms(
+            [*blocks, *(p - p.conj().T for p in blocks), *(p @ p - p for p in blocks)]
+        )
+        bound = 1e-8 * (1.0 + max(norms[:n]))
+        if max(norms[n : 2 * n]) > bound:
             raise InvalidDecompositionError("operator is not self-adjoint")
-        if block_norm([p @ p - p for p in op.blocks]) > bound:
+        if max(norms[2 * n :]) > bound:
             raise InvalidDecompositionError("operator is not idempotent")
         object.__setattr__(self, "op", op)
 
@@ -378,9 +383,8 @@ def range_inclusion(b, c, tol=1e-8):
     if b.rows != c.rows:
         raise ConformabilityError("operators must share a codomain")
     tol = check_tolerance(tol, "tol")
-    projected = [
-        cb @ (cp @ bb) for bb, cb, cp in zip(b.blocks, c.blocks, operator_pinv(c).blocks)
-    ]
+    c_pinv, _ = operator_pinv(c)
+    projected = [cb @ (cp @ bb) for bb, cb, cp in zip(b.blocks, c.blocks, c_pinv)]
     residual = rel_residual(b.blocks, projected)
     return residual <= tol, residual
 
@@ -389,5 +393,6 @@ def projection_onto_range(t):
     """The orthogonal projection ``t t^+`` onto ``Ran(t)`` as an operator."""
     from .pinv import operator_pinv
 
-    blocks = [m @ x for m, x in zip(t.blocks, operator_pinv(t).blocks)]
+    t_pinv, _ = operator_pinv(t)
+    blocks = [m @ x for m, x in zip(t.blocks, t_pinv)]
     return Projection(AdjointableOp.from_blocks(t.signature, blocks))

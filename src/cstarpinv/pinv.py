@@ -19,6 +19,10 @@ and the boundary band is checked on every block (see
 from the retained singular triplets, so it is module-linear by
 construction.  It is the only pseudoinverse path: a plain matrix goes
 through it as a one-block operator over signature [1] (:func:`pinv_matrix`).
+A pseudoinverse is its blocks and the :class:`RankDecision` they were cut
+at, the pair :func:`operator_pinv` returns; :class:`MatrixPinv` and
+:class:`PinvResult` are the public results built from it, and only
+:func:`moore_penrose` adds the Penrose residuals.
 
 Operators are immutable, so each one is factored at most once: the SVDs of
 its blocks are cached on the operator by :func:`operator_svd` (the arrays
@@ -48,7 +52,6 @@ __all__ = [
     "operator_ranks",
     "PinvResult",
     "MatrixPinv",
-    "BlockPinv",
     "pinv_matrix",
     "operator_pinv",
     "moore_penrose",
@@ -202,23 +205,17 @@ def _pinv_from_factors(f, rank):
     return f.V[:, :rank] @ (f.U[:, :rank].conj().T / f.singular_values[:rank, None])
 
 
-@dataclass(frozen=True)
-class BlockPinv:
-    """Per-block pseudoinverses with the rank decision they were cut at."""
-
-    blocks: tuple
-    decision: RankDecision
-
-
 def operator_pinv(t, rank_tol="auto"):
     """Per-block pseudoinverse of a module operator from its cached SVDs.
 
-    Each block keeps the singular values above the common cutoff of
-    :func:`operator_ranks` and inverts them on its factor bases.
+    Returns the pair ``(blocks, decision)``: one pseudoinverse matrix per
+    algebra block, and the :class:`RankDecision` of :func:`operator_ranks`
+    they were cut at.  Each block keeps the singular values above the
+    decision's common cutoff and inverts them on its factor bases.
     """
     decision = operator_ranks(t, rank_tol)
     blocks = tuple(_pinv_from_factors(f, r) for f, r in zip(operator_svd(t), decision.ranks))
-    return BlockPinv(blocks, decision)
+    return blocks, decision
 
 
 def pinv_matrix(matrix, rank_tol="auto"):
@@ -229,9 +226,8 @@ def pinv_matrix(matrix, rank_tol="auto"):
     operator over signature [1], whose flattening is the matrix itself, so
     the cutoff is that of the matrix's shape; it needs a row and a column.
     """
-    mp = operator_pinv(AdjointableOp.from_complex_matrix(matrix), rank_tol)
-    d = mp.decision
-    return MatrixPinv(mp.blocks[0], d.rank, d.singular_values, d.cutoff, d.boundary_flag)
+    (block,), d = operator_pinv(AdjointableOp.from_complex_matrix(matrix), rank_tol)
+    return MatrixPinv(block, d.rank, d.singular_values, d.cutoff, d.boundary_flag)
 
 
 @dataclass(frozen=True)
@@ -260,10 +256,9 @@ def moore_penrose(t, rank_tol="auto"):
         raise ConformabilityError(
             "moore_penrose takes an AdjointableOp; use pinv_matrix for a plain matrix"
         )
-    mp = operator_pinv(t, rank_tol)
-    x = AdjointableOp.from_blocks(t.signature, mp.blocks)
+    blocks, d = operator_pinv(t, rank_tol)
+    x = AdjointableOp.from_blocks(t.signature, blocks)
     residuals = penrose_residuals(t.blocks, x.blocks)
-    d = mp.decision
     return PinvResult(x, d.rank, d.singular_values, residuals, d.boundary_flag, d.cutoff)
 
 

@@ -25,13 +25,13 @@ Every identity is evaluated block by block on the operators' per-block
 matrices (see :mod:`cstarpinv.operators`): each norm in a residual is the
 largest over blocks, taken separately for the numerator and for the
 ``1 + ||.||`` denominator, which is the spectral norm on the flattening.
-All checks of one pair read one shared set of data: the block matrices and
-pseudoinverses of ``T``, ``S`` and ``TS``, and the residual of every
-identity of the certificate, each evaluated once when the pair is built.
-The norms of all those residuals are taken in one batch, one LAPACK call
-per matrix shape (see :func:`cstarpinv._numeric.rel_residuals`), and so
-are those of the eight block conditions; the values are those of
-per-matrix norms bit for bit.  The data are cached on ``T`` for the last
+All checks of one pair read one shared set of data: the rank decisions of
+``T`` and ``S``, the pseudoinverse ``(TS)^+`` block by block, and the
+residual of every identity of the certificate, each evaluated once when the
+pair is built.  The norms of all those residuals are taken in one batch,
+one LAPACK call per matrix shape (see
+:func:`cstarpinv._numeric.rel_residuals`), and so are those of the eight
+block conditions; the values are those of per-matrix norms bit for bit.  The data are cached on ``T`` for the last
 ``S`` it was paired with (matched by identity) and built from the
 operators' cached SVDs, so generation's verification and every check of
 the pair factor ``T``, ``S`` and ``TS`` once between them, and a
@@ -81,7 +81,6 @@ __all__ = [
     "check_thm22",
     "check_corollary",
     "certificate_to_dict",
-    "certificate_from_dict",
     "block_conditions",
     "gen_instance",
     "GENERATOR_KINDS",
@@ -117,76 +116,59 @@ class RolCertificate:
     tol: float
 
 
-@dataclass(frozen=True)
-class _PairBlock:
-    """One algebra block of a pair: ``T``, ``S``, ``TS``, their
-    pseudoinverses and the candidate ``X = S^+ T^+``."""
-
-    t: np.ndarray
-    s: np.ndarray
-    ts: np.ndarray
-    tp: np.ndarray
-    sp: np.ndarray
-    tsp: np.ndarray
-    x: np.ndarray
-
-
 class _Pair:
     """Everything the checks of one (T, S) pair read, computed once.
 
-    The block matrices and pseudoinverses of ``T``, ``S`` and ``TS``, the
-    rank decisions of ``T`` and ``S``, and the residual of every identity of
-    the certificate: the law, the two equations of each triple, the four
-    Penrose residuals of ``(TS, X)`` and both Greville inclusions, with all
-    their norms in one batch.  Triple A's second equation and the first
-    inclusion are one residual, by the paper's equivalence
-    ``T*TS = SS^+T*TS  <=>  Ran(T*TS) <= Ran(S)``, so a pair evaluates ten.
-    A certificate at any tolerance only compares these residuals with it
-    (see :func:`_certificate`), and is flagged by :meth:`flagged`, from the
-    rank decisions' ``boundary_flag`` and the rounding ``floor``
-    (``eps * kappa``, the largest condition number of the three on their
-    retained spectra); neither depends on ``tol``.  Obtain a pair through
-    :func:`_pair`, which shares one per pair; its arrays are read-only.
+    The rank decisions of ``T`` and ``S``, the per-block ``(TS)^+`` (read-only,
+    for :func:`block_conditions`), and the residual of every identity of the
+    certificate: the law, each triple's three conditions and both Greville
+    inclusions.  Triple A's second equation and the first inclusion are one
+    residual, by the paper's equivalence
+    ``T*TS = SS^+T*TS  <=>  Ran(T*TS) <= Ran(S)``, and each triple's third
+    condition is the largest of three of the four Penrose residuals of
+    ``(TS, X)`` with ``X = S^+ T^+``, so a pair evaluates ten residuals, all
+    their norms in one batch.  A certificate at any tolerance only compares
+    these residuals with it (see :func:`_certificate`), and is flagged by
+    :meth:`flagged`, from the rank decisions' ``boundary_flag`` and the
+    rounding ``floor`` (``eps * kappa``, the largest condition number of the
+    three on their retained spectra); neither depends on ``tol``.  Obtain a
+    pair through :func:`_pair`, which shares one per pair.
     """
 
     def __init__(self, t_op, s_op):
         ts_op = compose(t_op, s_op)
-        t_mp, s_mp, ts_mp = (operator_pinv(op) for op in (t_op, s_op, ts_op))
-        self.blocks = blocks = tuple(
-            _PairBlock(t, s, ts, tp, sp, tsp, sp @ tp)
-            for t, s, ts, tp, sp, tsp in zip(
-                t_op.blocks, s_op.blocks, ts_op.blocks, t_mp.blocks, s_mp.blocks, ts_mp.blocks
-            )
+        (tp, t_decision), (sp, s_decision), (tsp, ts_decision) = (
+            operator_pinv(op) for op in (t_op, s_op, ts_op)
         )
-        for b in blocks:
-            for array in (b.tp, b.sp, b.tsp, b.x):
-                array.flags.writeable = False
-        self.t_decision = t_mp.decision
-        self.s_decision = s_mp.decision
-        decisions = (t_mp.decision, s_mp.decision, ts_mp.decision)
+        for array in tsp:
+            array.flags.writeable = False
+        self.ts_pinv = tsp
+        self.t_decision = t_decision
+        self.s_decision = s_decision
+        decisions = (t_decision, s_decision, ts_decision)
         self.boundary_flag = any(d.boundary_flag for d in decisions)
         self.floor = EPS * max(_condition(d) for d in decisions)
 
-        ts, x = [b.ts for b in blocks], [b.x for b in blocks]
-        t_ts = [b.t.conj().T @ b.ts for b in blocks]
-        ts_s = [b.ts @ b.s.conj().T for b in blocks]
-        g2_target = [b.s @ b.s.conj().T @ b.t.conj().T for b in blocks]
-        rol, thm21_a, inclusion_s, thm22_a, thm22_b, inclusion_t, *penrose = rel_residuals(
+        t, s, ts = t_op.blocks, s_op.blocks, ts_op.blocks
+        x = [a @ b for a, b in zip(sp, tp)]
+        t_ts = [a.conj().T @ b for a, b in zip(t, ts)]
+        ts_s = [a @ b.conj().T for a, b in zip(ts, s)]
+        g2_target = [a @ a.conj().T @ b.conj().T for a, b in zip(s, t)]
+        rol, thm21_a, inclusion_s, thm22_a, thm22_b, inclusion_t, r1, r2, r3, r4 = rel_residuals(
             [
-                ([b.tsp for b in blocks], x),
-                ([b.ts @ b.tsp for b in blocks], [b.ts @ b.sp @ b.tp for b in blocks]),
-                (t_ts, [b.s @ (b.sp @ a) for b, a in zip(blocks, t_ts)]),
-                ([b.tsp @ b.ts for b in blocks], [b.x @ b.ts for b in blocks]),
-                (ts_s, [a @ b.tp @ b.t for b, a in zip(blocks, ts_s)]),
+                (tsp, x),
+                ([a @ b for a, b in zip(ts, tsp)], [a @ b @ c for a, b, c in zip(ts, sp, tp)]),
+                (t_ts, [a @ (b @ c) for a, b, c in zip(s, sp, t_ts)]),
+                ([a @ b for a, b in zip(tsp, ts)], [a @ b for a, b in zip(x, ts)]),
+                (ts_s, [a @ b @ c for a, b, c in zip(ts_s, tp, t)]),
                 # Ran(T*) projector is (T^+ T); avoids factoring T* separately.
-                (g2_target, [b.tp @ (b.t @ g) for b, g in zip(blocks, g2_target)]),
+                (g2_target, [a @ (b @ c) for a, b, c in zip(tp, t, g2_target)]),
                 *penrose_identities(ts, x),
             ]
         )
         self.residual_rol = rol
-        self.penrose = tuple(penrose)
-        self.thm21 = (thm21_a, inclusion_s)
-        self.thm22 = (thm22_a, thm22_b)
+        self.thm21 = (thm21_a, inclusion_s, max(r1, r2, r3))
+        self.thm22 = (thm22_a, thm22_b, max(r1, r2, r4))
         self.greville = (inclusion_s, inclusion_t)
 
     def flagged(self, tol):
@@ -221,9 +203,8 @@ def _check(residual, tol):
 
 def _certificate(pair, tol):
     """The certificate of a pair at ``tol``, from the residuals the pair holds."""
-    r1, r2, r3, r4 = pair.penrose
-    thm21 = tuple(_check(r, tol) for r in pair.thm21) + (_check(max(r1, r2, r3), tol),)
-    thm22 = tuple(_check(r, tol) for r in pair.thm22) + (_check(max(r1, r2, r4), tol),)
+    thm21 = tuple(_check(r, tol) for r in pair.thm21)
+    thm22 = tuple(_check(r, tol) for r in pair.thm22)
     greville = tuple(_check(r, tol) for r in pair.greville)
     rol_verdict = pair.residual_rol <= tol
 
@@ -278,13 +259,13 @@ def _check_to_dict(check):
     return {"residual": check.residual, "verdict": check.verdict}
 
 
-def certificate_to_dict(cert, tool_version, digests=None):
+def certificate_to_dict(cert, tool_version, digests):
     """Machine-readable certificate; lossless for the certificate fields."""
     return {
         "format": CERTIFICATE_FORMAT,
         "tool_version": tool_version,
         "tol": cert.tol,
-        "input_digests": digests or {},
+        "input_digests": digests,
         "residual_rol": cert.residual_rol,
         "rol_verdict": cert.rol_verdict,
         "thm21": [_check_to_dict(c) for c in cert.thm21],
@@ -293,22 +274,6 @@ def certificate_to_dict(cert, tool_version, digests=None):
         "consistent": cert.consistent,
         "boundary_flag": cert.boundary_flag,
     }
-
-
-def certificate_from_dict(data):
-    def checks(items):
-        return tuple(ConditionCheck(c["residual"], c["verdict"]) for c in items)
-
-    return RolCertificate(
-        data["residual_rol"],
-        data["rol_verdict"],
-        checks(data["thm21"]),
-        checks(data["thm22"]),
-        checks(data["greville"]),
-        data["consistent"],
-        data["boundary_flag"],
-        data["tol"],
-    )
 
 
 @dataclass(frozen=True)
@@ -374,7 +339,9 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     per_block = [
         _block_terms(*parts)
         for parts in zip(
-            pair.blocks,
+            t_op.blocks,
+            s_op.blocks,
+            pair.ts_pinv,
             operator_svd(t_op),
             operator_svd(s_op),
             pair.t_decision.ranks,
@@ -388,16 +355,16 @@ def block_conditions(t_op, s_op, tol=DEFAULT_TOL):
     return BlockConditionReport(*rel_residuals(identities), pair.flagged(tol), float(tol))
 
 
-def _block_terms(b, ft, fs, rank_t, rank_s):
+def _block_terms(t, s, tsp, ft, fs, rank_t, rank_s):
     """``(lhs, rhs)`` of the eight block residuals on one algebra block, in
     the order of :class:`BlockConditionReport`; ``rhs`` is ``None`` for an
     identity ``lhs == 0``.  ``T1``, ``T2`` and ``D^-1`` are ``T``'s block row
     against ``S``'s split, ``S1 = U_{S,1}* S V_{S,1}`` and
     ``(T1 S1)^+ = V_{S,1}* (TS)^+ U_{T,1}``."""
     us1, vs1, ut1 = fs.U[:, :rank_s], fs.V[:, :rank_s], ft.U[:, :rank_t]
-    t1, t2, _, d_inv = _block_row(b.t, ut1, us1, orthogonal_complement(fs.U, rank_s))
-    s1 = us1.conj().T @ b.s @ vs1
-    p_ts1 = vs1.conj().T @ b.tsp @ ut1
+    t1, t2, _, d_inv = _block_row(t, ut1, us1, orthogonal_complement(fs.U, rank_s))
+    s1 = us1.conj().T @ s @ vs1
+    p_ts1 = vs1.conj().T @ tsp @ ut1
     s1_inv = inverse(s1)
     ts1 = t1 @ s1
     t1t1 = t1 @ t1.conj().T
@@ -445,7 +412,11 @@ def gen_instance(kind, dims, signature=None, seed=0):
     above make rejections rare (an attempt whose rank decisions are
     boundary noise).  :class:`GenerationError` signals exhaustion.
     """
-    if len(dims) != 3 or min(dims) < 1:
+    if (
+        len(dims) != 3
+        or any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in dims)
+        or min(dims) < 1
+    ):
         raise ConformabilityError(f"dims must be three positive integers p, m, k, got {dims}")
     p, m, k = (int(x) for x in dims)
     if kind not in GENERATOR_KINDS:

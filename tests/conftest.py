@@ -110,6 +110,28 @@ def count_svd_factor(monkeypatch):
     return calls
 
 
+def count_norm_batches(monkeypatch):
+    """A list that records the size of every norm batch the package takes
+    from here on: each is one ``cstarpinv._numeric.spec_norms`` call, which
+    is patched in every package module that imports it by name."""
+    import sys
+
+    import cstarpinv._numeric as numeric
+
+    batches = []
+    original = numeric.spec_norms
+
+    def counting(matrices):
+        matrices = list(matrices)
+        batches.append(len(matrices))
+        return original(matrices)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstarpinv") and getattr(module, "spec_norms", None) is original:
+            monkeypatch.setattr(module, "spec_norms", counting)
+    return batches
+
+
 __all__ = [
     "SIG1",
     "SIG2",
@@ -120,6 +142,7 @@ __all__ = [
     "penrose_defects",
     "assert_penrose",
     "conditioned_operator",
+    "count_norm_batches",
     "count_svd_factor",
     "random_element",
     "random_operator",

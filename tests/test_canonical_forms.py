@@ -23,6 +23,7 @@ from conftest import (
     SIG12,
     SIGNATURES,
     conditioned_operator,
+    count_norm_batches,
     count_svd_factor,
     random_operator,
     random_operator_with_rank,
@@ -152,6 +153,24 @@ def test_row_block_rejects_non_projection(rng):
         row_block_form(t, random_operator(SIG1, 4, 4, rng))
     with pytest.raises(InvalidDecompositionError):
         row_block_form(t, AdjointableOp.identity(SIG1, 3))  # wrong side
+
+
+def test_split_forms_validate_a_raw_projection_once(monkeypatch, rng):
+    # a Projection was validated when it was made, so a form on one takes a
+    # single norm batch, its residual against the SVD pseudoinverse; a raw
+    # operator takes one more, its validation
+    batches = count_norm_batches(monkeypatch)
+    for sig, (rows, cols) in ((SIG1, (4, 3)), (SIG12, (3, 4))):
+        t = random_operator_with_rank(sig, rows, cols, 2, rng)
+        domain = projection_onto_range(random_operator(sig, cols, 2, rng))
+        codomain = projection_onto_range(random_operator(sig, rows, 2, rng))
+        for form, p in ((row_block_form, domain), (col_block_form, codomain)):
+            batches.clear()
+            validated = form(t, p)
+            assert len(batches) == 1
+            raw = form(t, p.op)
+            assert len(batches) == 3
+            assert validated.residual_vs_pinv == raw.residual_vs_pinv
 
 
 def test_col_block_form_full_projection(rng):

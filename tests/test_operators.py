@@ -23,7 +23,16 @@ from cstarpinv._numeric import spec_norm
 from cstarpinv.operators import _unflatten_with_mass, op_norm
 from cstarpinv.pinv import moore_penrose
 
-from conftest import SIG1, SIG2, SIG12, SIGNATURES, random_element, random_operator, random_operator_with_rank
+from conftest import (
+    SIG1,
+    SIG2,
+    SIG12,
+    SIGNATURES,
+    count_norm_batches,
+    random_element,
+    random_operator,
+    random_operator_with_rank,
+)
 
 
 def op1(matrix):
@@ -230,26 +239,18 @@ def test_projection_validation(rng):
 def test_projection_onto_range_reads_the_pseudoinverse_blocks(monkeypatch, rng):
     # T T^+ from the per-block pseudoinverses: bit for bit the product with
     # moore_penrose's pseudoinverse, without the Penrose residuals it would
-    # evaluate and discard (one norm batch fewer)
-    import cstarpinv._numeric as numeric
+    # evaluate and discard; the projection's three norms are one batch
     from cstarpinv import projection_onto_range
 
-    batches = []
-    spec_norms = numeric.spec_norms
-
-    def counting(matrices):
-        batches.append(1)
-        return spec_norms(matrices)
-
-    monkeypatch.setattr(numeric, "spec_norms", counting)
+    batches = count_norm_batches(monkeypatch)
     for sig, shape in ((SIG1, (4, 3)), (SIG12, (3, 4)), (SIG2, (3, 3))):
         t = random_operator_with_rank(sig, *shape, 2, rng)
         fresh = [AdjointableOp.from_blocks(sig, t.blocks) for _ in range(2)]
         batches.clear()
         p = projection_onto_range(fresh[0])
-        new_batches = len(batches)
+        assert batches == [3 * len(sig.block_sizes)]
         old = Projection(fresh[1] @ moore_penrose(fresh[1]).pseudoinverse)
-        assert len(batches) - new_batches == new_batches + 1
+        assert len(batches) == 3
         for a, b in zip(p.op.blocks, old.op.blocks):
             assert a.tobytes() == b.tobytes()
 

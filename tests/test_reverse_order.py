@@ -296,7 +296,7 @@ def test_gen_instance_determinism():
     assert np.array_equal(flatten(a[1]), flatten(b[1]))
 
 
-def test_gen_instance_validation():
+def test_gen_instance_validation(monkeypatch):
     with pytest.raises(ConformabilityError):
         gen_instance("s_adjoint", (3, 4, 2), seed=0)  # k != p
     with pytest.raises(ConformabilityError):
@@ -313,6 +313,17 @@ def test_gen_instance_validation():
     for signature in ((1, 2), [1, 2]):
         with pytest.raises(ConformabilityError, match="signature"):
             gen_instance("generic", (3, 3, 3), signature=signature, seed=0)
+    # dims are integers: a NumPy integer is one, a float, a bool or a string
+    # is refused before any draw
+    ints = gen_instance("generic", (3, 3, 3), seed=0)
+    numpy_ints = gen_instance("generic", (np.int64(3),) * 3, seed=0)
+    for a, b in zip(ints, numpy_ints):
+        assert a.blocks[0].tobytes() == b.blocks[0].tobytes()
+    attempts = _count_attempts(monkeypatch, kinds=("generic",))
+    for dims in ((4.5, 4, 4), (True, 2, 2), ("4", "4", "4")):
+        with pytest.raises(ConformabilityError, match="dims must be three positive integers"):
+            gen_instance("generic", dims, seed=0)
+    assert attempts == []
 
 
 def _count_attempts(monkeypatch, kinds=("thm21_only",)):
