@@ -3,8 +3,9 @@
 Every spectral norm in the package goes through :func:`spec_norms`, which
 takes all the norms a caller needs in one LAPACK call per matrix shape;
 :func:`rel_residuals` measures any number of identities with one such
-batch.  The values are bit for bit those of ``numpy.linalg.norm(m, 2)``
-per matrix.
+batch, and a stack of ``N`` equal-shaped matrices measures ``N`` instances
+of an identity at once.  The values are bit for bit those of
+``numpy.linalg.norm(m, 2)`` per matrix.
 """
 
 import math
@@ -17,30 +18,44 @@ from .errors import FactorizationError, ParameterError
 def spec_norms(matrices):
     """Spectral norms of many matrices, one LAPACK call per shape.
 
-    Matrices of one shape and dtype are stacked and reduced by a single
+    Each item is a matrix, whose norm is a float, or an ``(N, rows, cols)``
+    stack of matrices, whose norms are a list of ``N`` floats.  Matrices of
+    one shape and dtype are stacked and reduced by a single
     ``numpy.linalg.svd(stack, compute_uv=False)``, which runs the routine
     ``numpy.linalg.norm(m, 2)`` runs on each matrix, so every norm is bit
     for bit the per-matrix one.  Matrices with an empty dimension have norm
-    0.0.  A norm that LAPACK reports as not converged (as it does for
-    non-finite entries) raises :class:`FactorizationError`.
+    0.0.  A norm that LAPACK reports as not converged, or that is not
+    finite (as for non-finite entries), raises :class:`FactorizationError`.
     """
-    matrices = [np.asarray(m) for m in matrices]
-    norms = [0.0] * len(matrices)
+    arrays = [np.asarray(m) for m in matrices]
+    stacks = [m if m.ndim == 3 else m[None] for m in arrays]
+    norms = [None] * len(stacks)
     groups = {}
-    for i, m in enumerate(matrices):
-        if m.size:
-            groups.setdefault((m.shape, m.dtype), []).append((i, m))
-    for (shape, _), members in groups.items():
+    for i, m in enumerate(stacks):
+        groups.setdefault((m.shape[1:], m.dtype), []).append(i)
+    for ((rows, cols), _), members in groups.items():
+        if rows == 0 or cols == 0:
+            for i in members:
+                norms[i] = [0.0] * len(stacks[i])
+            continue
+        batch = [stacks[i] for i in members]
         try:
-            largest = np.linalg.svd(np.stack([m for _, m in members]), compute_uv=False)[:, 0]
+            largest = np.linalg.svd(
+                batch[0] if len(batch) == 1 else np.concatenate(batch), compute_uv=False
+            )[:, 0]
         except np.linalg.LinAlgError:
-            rows, cols = shape
             raise FactorizationError(
                 f"spectral norm of a {rows}x{cols} matrix did not converge"
             ) from None
-        for (i, _), value in zip(members, largest.tolist()):
-            norms[i] = value
-    return norms
+        values = largest.tolist()
+        if not all(map(math.isfinite, values)):
+            raise FactorizationError(f"spectral norm of a {rows}x{cols} matrix is not finite")
+        start = 0
+        for i in members:
+            end = start + len(stacks[i])
+            norms[i] = values[start:end]
+            start = end
+    return [n if m.ndim == 3 else n[0] for m, n in zip(arrays, norms)]
 
 
 def spec_norm(m):
@@ -61,7 +76,9 @@ def rel_residuals(identities):
     each norm is the largest over blocks, taken separately for the
     numerator and the denominator.  ``lhs`` is the left operand of the
     identity being tested; ``rhs`` is ``None`` for an identity of the form
-    ``lhs == 0``.  Every norm of every identity goes through one
+    ``lhs == 0``.  An identity whose blocks are ``(N, rows, cols)`` stacks
+    holds ``N`` instances and its residual is a list of ``N`` floats, each
+    that of one instance.  Every norm of every identity goes through one
     :func:`spec_norms` call.
     """
     identities = list(identities)
@@ -75,11 +92,22 @@ def rel_residuals(identities):
         spans.append((start, mid, len(matrices)))
     norms = spec_norms(matrices)
     residuals = []
-    for (lhs, rhs), (start, mid, end) in zip(identities, spans):
-        lhs_norm = max(norms[start:mid])
-        delta_norm = lhs_norm if rhs is None else max(norms[mid:end])
-        residuals.append(delta_norm / (1.0 + lhs_norm))
+    for start, mid, end in spans:
+        lhs_norm = _largest(norms[start:mid])
+        delta_norm = lhs_norm if mid == end else _largest(norms[mid:end])
+        if isinstance(lhs_norm, float):
+            residuals.append(delta_norm / (1.0 + lhs_norm))
+        else:
+            residuals.append([d / (1.0 + n) for d, n in zip(delta_norm, lhs_norm)])
     return residuals
+
+
+def _largest(norms):
+    """The largest of per-block norms: floats, or lists of floats (one per
+    stacked instance) instance by instance."""
+    if isinstance(norms[0], float):
+        return max(norms)
+    return [max(column) for column in zip(*norms)]
 
 
 def rel_residual(lhs, rhs):

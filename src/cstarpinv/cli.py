@@ -18,16 +18,22 @@ from . import __version__
 from ._numeric import check_tolerance
 from .algebra import AlgebraSignature
 from .errors import CstarPinvError, OperatorFileError
-from .fileio import dumps_canonical, file_digest, read_operator_file, write_operator_file
+from .fileio import (
+    dumps_canonical,
+    file_digest,
+    read_operator_file,
+    read_operator_file_with_digest,
+    write_operator_file,
+)
 from .operators import check_block_size
 from .pinv import moore_penrose
 from .reverse_order import (
     DEFAULT_TOL,
     GENERATOR_KINDS,
-    block_conditions,
     certificate_to_dict,
+    batches,
+    certify_batch,
     check_corollary,
-    gen_instance,
 )
 
 EXIT_HOLDS = 0
@@ -136,11 +142,11 @@ def _cmd_pinv(args):
 
 
 def _cmd_check(args):
-    t_op = read_operator_file(args.fileT)
-    s_op = read_operator_file(args.fileS)
+    t_op, t_digest = read_operator_file_with_digest(args.fileT)
+    s_op, s_digest = read_operator_file_with_digest(args.fileS)
     check_tolerance(args.tol, "--tol")
     cert = check_corollary(t_op, s_op, args.tol)
-    digests = {"T": file_digest(args.fileT), "S": file_digest(args.fileS)}
+    digests = {"T": t_digest, "S": s_digest}
     payload = certificate_to_dict(cert, __version__, digests)
     if args.machine:
         sys.stdout.write(dumps_canonical(payload))
@@ -188,17 +194,23 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
     operators are kept only for inconsistent instances (the ones worth
     dumping) and are ``None`` otherwise, so memory does not grow with
     ``count`` beyond the records.  Instance ``index`` is generated from the
-    seed ``seed + index``; a request :func:`gen_instance` cannot build
-    raises its error at the first instance of that kind.
+    seed ``seed + index``; a request
+    :func:`~cstarpinv.reverse_order.gen_instance` cannot build
+    raises its error at the first instance of that kind.  The instances are
+    generated and certified in batches (see
+    :func:`~cstarpinv.reverse_order.certify_batch`), and each record is the
+    one its instance gives alone.
     """
     p, m, k = dims
-
-    def run_one(index):
+    requests = []
+    for index in range(count):
         kind = kinds[index % len(kinds)]
         inst_dims = (p, m, p) if kind == "s_adjoint" else (p, m, k)
-        t_op, s_op = gen_instance(kind, inst_dims, signature=signature, seed=seed + index)
+        requests.append((kind, inst_dims, seed + index))
+
+    def record_of(index, t_op, s_op, report):
+        kind, inst_dims, inst_seed = requests[index]
         cert = check_corollary(t_op, s_op, tol)
-        report = block_conditions(t_op, s_op, tol)
         thm21_verdicts = tuple(c.verdict for c in cert.thm21)
         thm22_verdicts = tuple(c.verdict for c in cert.thm22)
         # The block report carries the pair's flag, which is the certificate's.
@@ -211,7 +223,7 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
         record = {
             "index": index,
             "kind": kind,
-            "seed": seed + index,
+            "seed": inst_seed,
             "dims": list(inst_dims),
             "boundary_flag": cert.boundary_flag,
             "consistent": cert.consistent,
@@ -228,7 +240,14 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
             t_op = s_op = None
         return record, cert, t_op, s_op
 
-    results = [run_one(i) for i in range(count)]
+    def records_of(start, batch):
+        certified = certify_batch(batch, signature, tol)
+        return [record_of(start + j, *item) for j, item in enumerate(certified)]
+
+    # A batch's operators are dropped before the next batch is drawn.
+    results = []
+    for batch in batches(requests, signature):
+        results.extend(records_of(len(results), batch))
 
     records = [r for r, _, _, _ in results]
     flagged = sum(1 for r in records if r["boundary_flag"])

@@ -20,6 +20,7 @@ serialization sits beside the certificate, in
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from itertools import chain
@@ -36,6 +37,7 @@ __all__ = [
     "operator_json",
     "write_operator_file",
     "read_operator_file",
+    "read_operator_file_with_digest",
     "file_digest",
     "dumps_canonical",
 ]
@@ -228,9 +230,23 @@ def write_operator_file(path, op):
 
 
 def read_operator_file(path):
+    return _read_operator(path)[0]
+
+
+def read_operator_file_with_digest(path):
+    """The operator in the file at ``path`` and the SHA-256 hex digest of
+    the bytes it was parsed from (:func:`file_digest` of the file), from
+    one read of the file."""
+    op, raw = _read_operator(path)
+    return op, hashlib.sha256(raw).hexdigest()
+
+
+def _read_operator(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # decoded as a text-mode read decodes: UTF-8 with universal newlines
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except OSError as exc:
         raise OperatorFileError("file", f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -239,7 +255,7 @@ def read_operator_file(path):
         raise OperatorFileError("file", f"{path} nests JSON too deeply") from None
     except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
         raise OperatorFileError("file", f"{path} is not valid JSON: {exc}") from exc
-    return operator_from_dict(data)
+    return operator_from_dict(data), raw
 
 
 def file_digest(path):

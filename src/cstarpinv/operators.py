@@ -26,7 +26,7 @@ is algebra-linear.  Both directions go through one map, :func:`_copies`,
 which views a flattening as the ``n_i`` copies of every block matrix.
 
 Operators are immutable, and each one also caches, lazily, the SVDs of its
-blocks (filled by :func:`cstarpinv.pinv.operator_svd`) and the shared
+blocks (filled by :func:`cstarpinv.pinv.factor_operators`) and the shared
 pseudoinverse data of the last pair ``(self, S)`` it was the left factor of
 (filled by :mod:`cstarpinv.reverse_order`), so the same matrix is never
 factored twice.  Block matrices are limited to ``MAX_BLOCK_SIDE`` rows and
@@ -301,13 +301,18 @@ def adjoint_op(t):
 
 def compose(t, s):
     """Operator product ``t s`` (apply ``s`` first)."""
+    _check_composable(t, s)
+    return AdjointableOp.from_blocks(t.signature, [a @ b for a, b in zip(t.blocks, s.blocks)])
+
+
+def _check_composable(t, s):
+    """Raise :class:`ConformabilityError` unless ``t s`` is defined."""
     if t.signature != s.signature:
         raise ConformabilityError("signatures differ")
     if t.cols != s.rows:
         raise ConformabilityError(
             f"inner dimensions differ: {t.rows}x{t.cols} times {s.rows}x{s.cols}"
         )
-    return AdjointableOp.from_blocks(t.signature, [a @ b for a, b in zip(t.blocks, s.blocks)])
 
 
 def flatten(t):

@@ -1,9 +1,13 @@
 """Rank-revealing factorization and Moore-Penrose inverses.
 
-Every factorization is one LAPACK SVD (``numpy.linalg.svd``, economy size)
-with its factors as LAPACK returns them; LAPACK is deterministic, so results
-are reproducible run to run.  Results read the factors only through norms and
-products that no unit phase of a singular pair changes (``V S^+ U*``, ``U U*``).
+Every factorization is one matrix of a stacked LAPACK SVD
+(``numpy.linalg.svd`` on an ``(N, m, n)`` stack, economy size, in
+:func:`_svd_stack`) with its factors as LAPACK returns them; LAPACK factors
+each matrix of a stack as it factors the matrix alone and is deterministic,
+so results are reproducible run to run and do not depend on what else was
+stacked.  :func:`svd_factor` factors one matrix as a stack of one.  Results
+read the factors only through norms and products that no unit phase of a
+singular pair changes (``V S^+ U*``, ``U U*``).
 A factorization that LAPACK reports as not converged raises
 :class:`FactorizationError` rather than returning unconverged factors.
 
@@ -25,9 +29,12 @@ at, the pair :func:`operator_pinv` returns; :class:`MatrixPinv` and
 :func:`moore_penrose` adds the Penrose residuals.
 
 Operators are immutable, so each one is factored at most once: the SVDs of
-its blocks are cached on the operator by :func:`operator_svd` (the arrays
-are read-only) and reused by every later pseudoinverse, range inclusion and
-block decomposition of that operator.  The cache holds only the factors;
+its blocks are cached on the operator (the arrays are read-only) and reused
+by every later pseudoinverse, range inclusion and block decomposition of
+that operator.  :func:`factor_operators` fills the caches of many operators
+at once, one stacked LAPACK call per block shape, as the reverse-order
+checks do for every operator of a batch of pairs; :func:`operator_svd` is
+that call on one operator.  The cache holds only the factors;
 the rank decision is made again on every use, so any ``rank_tol`` can be
 applied to the same factors.
 """
@@ -45,6 +52,7 @@ from .operators import AdjointableOp
 __all__ = [
     "SvdFactors",
     "svd_factor",
+    "factor_operators",
     "operator_svd",
     "orthogonal_complement",
     "rank_decision",
@@ -78,42 +86,78 @@ class SvdFactors:
     V: np.ndarray
 
 
+def _svd_stack(stack):
+    """Economy SVDs ``(U, s, V)`` of an ``(N, m, n)`` stack of complex matrices.
+
+    The one LAPACK path of the package: every factorization is one matrix of
+    such a stack.  LAPACK factors each matrix of a stack as it factors the
+    matrix alone, so the factors do not depend on what else is stacked.
+    """
+    n_stack, m, n = stack.shape
+    if stack.size and not np.isfinite(stack).all():
+        raise FactorizationError("matrix entries must be finite")
+    if m == 0 or n == 0:
+        k = min(m, n)
+        return (
+            np.zeros((n_stack, m, k), dtype=complex),
+            np.zeros((n_stack, k)),
+            np.zeros((n_stack, n, k), dtype=complex),
+        )
+    try:
+        u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(f"SVD of a {m}x{n} matrix did not converge") from None
+    return u, s, vh.conj().swapaxes(-1, -2)
+
+
 def svd_factor(matrix):
     """Deterministic singular value factorization of a complex matrix."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ConformabilityError("svd_factor expects a matrix")
-    if matrix.size and not np.isfinite(matrix).all():
-        raise FactorizationError("matrix entries must be finite")
-    m, n = matrix.shape
-    if m == 0 or n == 0:
-        k = min(m, n)
-        return SvdFactors(
-            np.zeros((m, k), dtype=complex),
-            np.zeros(k),
-            np.zeros((n, k), dtype=complex),
-        )
-    try:
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    except np.linalg.LinAlgError:
-        raise FactorizationError(f"SVD of a {m}x{n} matrix did not converge") from None
-    return SvdFactors(u, s, vh.conj().T)
+    u, s, v = _svd_stack(matrix[None])
+    return SvdFactors(u[0], s[0], v[0])
+
+
+def factor_operators(ops):
+    """Fill the SVD cache of every operator in ``ops`` that has none.
+
+    The blocks of all those operators are factored together, one
+    :func:`_svd_stack` per block shape (through :func:`svd_factor` for a
+    shape with one block), and each operator caches one read-only
+    :class:`SvdFactors` per algebra block.
+    """
+    todo = list({id(op): op for op in ops if op._svd is None}.values())
+    groups = {}
+    for op in todo:
+        for block in op.blocks:
+            groups.setdefault(block.shape, []).append(block)
+    factors = {}
+    for blocks in groups.values():
+        if len(blocks) == 1:
+            found = [svd_factor(blocks[0])]
+            arrays = found[0].U, found[0].singular_values, found[0].V
+        else:
+            arrays = _svd_stack(np.stack(blocks))
+            found = map(SvdFactors, *arrays)
+        for array in arrays:
+            array.flags.writeable = False
+        for block, f in zip(blocks, found):
+            factors[id(block)] = f
+    for op in todo:
+        object.__setattr__(op, "_svd", tuple(factors[id(block)] for block in op.blocks))
 
 
 def operator_svd(t):
     """SVD factors of each block of ``t``, computed once and cached on ``t``.
 
-    Returns one :class:`SvdFactors` per algebra block.  The cached arrays
-    are read-only, since every later caller shares them.
+    Returns one :class:`SvdFactors` per algebra block (see
+    :func:`factor_operators`).  The cached arrays are read-only, since every
+    later caller shares them.
     """
-    factors = t._svd
-    if factors is None:
-        factors = tuple(svd_factor(block) for block in t.blocks)
-        for f in factors:
-            for array in (f.U, f.singular_values, f.V):
-                array.flags.writeable = False
-        object.__setattr__(t, "_svd", factors)
-    return factors
+    if t._svd is None:
+        factor_operators([t])
+    return t._svd
 
 
 def orthogonal_complement(basis, rank):
@@ -274,14 +318,15 @@ def penrose_residuals(t, x):
 
 def penrose_identities(t, x):
     """The ``(lhs, rhs)`` pairs of ``TXT = T``, ``XTX = X``, ``(TX)* = TX``
-    and ``(XT)* = XT``, for :func:`~cstarpinv._numeric.rel_residuals`."""
+    and ``(XT)* = XT``, for :func:`~cstarpinv._numeric.rel_residuals`; the
+    blocks may be matrices or stacks of them."""
     tx = [a @ b for a, b in zip(t, x)]
     xt = [b @ a for a, b in zip(t, x)]
     return (
         (t, [p @ a for p, a in zip(tx, t)]),
         (x, [q @ b for q, b in zip(xt, x)]),
-        (tx, [p.conj().T for p in tx]),
-        (xt, [q.conj().T for q in xt]),
+        (tx, [p.conj().swapaxes(-1, -2) for p in tx]),
+        (xt, [q.conj().swapaxes(-1, -2) for q in xt]),
     )
 
 

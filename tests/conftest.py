@@ -94,19 +94,31 @@ def conditioned_operator(signature, rows, cols, rank, rng, floor=1e-2):
     raise RuntimeError("could not draw a well-conditioned operator")
 
 
+class Factorizations(list):
+    """The shape of every matrix factored, one entry per matrix; ``stacks``
+    holds the ``(N, rows, cols)`` shape of every LAPACK call, each of which
+    factors a stack of ``N`` matrices."""
+
+    def __init__(self):
+        super().__init__()
+        self.stacks = []
+
+
 def count_svd_factor(monkeypatch):
-    """A list that records the shape of every factorization the package
-    makes from here on; all of them go through ``cstarpinv.pinv.svd_factor``."""
+    """A :class:`Factorizations` that records every factorization the
+    package makes from here on; all of them go through
+    ``cstarpinv.pinv._svd_stack``, one LAPACK call per stack."""
     import cstarpinv.pinv as pinv_module
 
-    calls = []
-    original = pinv_module.svd_factor
+    calls = Factorizations()
+    original = pinv_module._svd_stack
 
-    def counting(matrix):
-        calls.append(np.shape(matrix))
-        return original(matrix)
+    def counting(stack):
+        calls.stacks.append(stack.shape)
+        calls.extend([stack.shape[1:]] * stack.shape[0])
+        return original(stack)
 
-    monkeypatch.setattr(pinv_module, "svd_factor", counting)
+    monkeypatch.setattr(pinv_module, "_svd_stack", counting)
     return calls
 
 

@@ -235,6 +235,35 @@ def test_cmd_check_machine_roundtrip(tmp_path, capsys):
     assert payload == certificate_to_dict(direct, cli.__version__, digests)
 
 
+def test_cmd_check_reads_each_operator_file_once(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    import cstarpinv.fileio as fileio
+
+    path_t = write(tmp_path, "T.json", op1([[1, 0], [0, 0]]))
+    path_s = str(tmp_path / "S.json")
+    # CRLF line endings: the digest is that of the bytes on disk
+    with open(path_s, "wb") as fh:
+        fh.write(operator_json(op1([[1, 0], [1, 0]])).replace("\n", "\r\n").encode())
+    digests = {"T": file_digest(path_t), "S": file_digest(path_s)}
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "open", counting_open, raising=False)
+    for flags in ((), ("--machine",)):
+        opened.clear()
+        code, out, _ = run(capsys, "check", path_t, path_s, *flags)
+        assert code == 1
+        assert sorted(opened) == sorted([path_t, path_s])
+        if flags:
+            assert json.loads(out)["input_digests"] == digests
+        else:
+            assert f"(sha256 {digests['S'][:16]}...)" in out
+
+
 def test_cmd_check_shape_mismatch(tmp_path, capsys, rng):
     path_t = write(tmp_path, "T.json", random_operator(AlgebraSignature((1,)), 2, 2, rng))
     path_s = write(tmp_path, "S.json", random_operator(AlgebraSignature((2,)), 2, 2, rng))

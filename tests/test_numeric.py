@@ -66,6 +66,12 @@ def test_batched_norms_equal_per_matrix_norms(rng):
     assert _bits(spec_norm(m) for m in matrices) == _bits(expected)
     assert _bits([block_norm(matrices)]) == _bits([max(expected)])
     assert spec_norms([]) == []
+    # a stack's norms are those of its matrices, one float each
+    stacks = [np.stack(matrices[i:96:4]) for i in range(4)] + [matrices[96][None]]
+    norms = spec_norms(stacks)
+    assert [_bits(n) for n in norms] == [_bits(expected[i:96:4]) for i in range(4)] + [
+        _bits(expected[96:97])
+    ]
 
 
 def test_batched_residuals_equal_per_matrix_residuals(rng):
@@ -80,6 +86,15 @@ def test_batched_residuals_equal_per_matrix_residuals(rng):
     expected = [_rel_residual_by_matrix(lhs, rhs) for lhs, rhs in identities]
     assert _bits(rel_residuals(identities)) == _bits(expected)
     assert _bits(rel_residual(lhs, rhs) for lhs, rhs in identities) == _bits(expected)
+    # identities with the same block shapes and form, stacked: one residual
+    # per stacked instance
+    for start in (0, 1, 2):
+        group = identities[start::12]
+        lhs = [np.stack(blocks) for blocks in zip(*(lhs for lhs, _ in group))]
+        rhs = None if group[0][1] is None else [
+            np.stack(blocks) for blocks in zip(*(rhs for _, rhs in group))
+        ]
+        assert _bits(rel_residual(lhs, rhs)) == _bits(expected[start::12])
 
 
 def test_non_finite_matrices_raise_factorization_errors():
@@ -89,6 +104,25 @@ def test_non_finite_matrices_raise_factorization_errors():
         svd_factor(np.array([[np.inf, 1.0]]))
     with np.errstate(all="ignore"), pytest.raises(FactorizationError, match="2x2 matrix"):
         spec_norms([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    # LAPACK returns inf or NaN for these without an error; a norm batch
+    # refuses any norm that is not finite, for a matrix or a stack
+    for bad in (
+        np.array([[np.inf + 0j, 0.0], [0.0, 1.0]]),
+        np.array([[complex(0.0, np.nan), 0.0], [0.0, 1.0]]),
+        np.full((2, 2), 1.5e308 + 0j),
+    ):
+        for batch in ([np.eye(2, dtype=complex), bad], [np.stack([np.eye(2), bad])]):
+            with np.errstate(all="ignore"), pytest.raises(FactorizationError, match="2x2 matrix"):
+                spec_norms(batch)
+
+
+def test_projection_refuses_an_overflowing_idempotency_norm():
+    # P P - P holds inf and NaN; its norm came back NaN, and NaN > bound
+    # accepted the operator as a projection
+    from cstarpinv import AdjointableOp, Projection
+
+    with np.errstate(all="ignore"), pytest.raises(FactorizationError):
+        Projection(AdjointableOp.from_complex_matrix([[1e200, 0.0], [0.0, 0.0]]))
 
 
 def test_check_tolerance_is_the_one_tolerance_rule():

@@ -381,9 +381,7 @@ def test_gen_instance_refuses_infeasible_dims_before_any_draw(monkeypatch):
 
 
 def test_gen_instance_retry_exhaustion(monkeypatch):
-    monkeypatch.setitem(
-        gen_instance.__globals__, "_build_generic", lambda *args: None
-    )
+    monkeypatch.setitem(gen_instance.__globals__, "_accepts", lambda kind, cert: False)
     with pytest.raises(GenerationError):
         gen_instance("generic", (3, 3, 3), seed=0)
 
@@ -424,17 +422,17 @@ def _patch_everywhere(monkeypatch, original, replacement):
             monkeypatch.setattr(module, original.__name__, replacement)
 
 
+# LAPACK SVD calls (stacks) of run_fuzz((4, 4, 4), 100, 1000, [1], all kinds),
+# against 436 single-matrix calls while every pair was certified alone: the
+# pairs of a generation round share one call per block shape, and only the
+# builders' own factorizations remain one call per operator
+LAPACK_CALLS_PER_FUZZ_CALL = 165
+
+
 def test_fuzz_factors_each_matrix_once(monkeypatch):
     from cstarpinv.cli import run_fuzz
-    from cstarpinv.pinv import svd_factor
 
-    calls = []
-
-    def counting(matrix):
-        calls.append(np.shape(matrix))
-        return svd_factor(matrix)
-
-    _patch_everywhere(monkeypatch, svd_factor, counting)
+    calls = count_svd_factor(monkeypatch)
     count = 100
     _, summary = run_fuzz((4, 4, 4), count, 1000, SIG1, ro.GENERATOR_KINDS, 1e-8)
     assert summary["inconsistent"] == 0
@@ -444,6 +442,7 @@ def test_fuzz_factors_each_matrix_once(monkeypatch):
     # the block conditions factored a projector for Ker(S*) that S's square
     # U already spans
     assert len(calls) / count <= 4.5
+    assert len(calls.stacks) == LAPACK_CALLS_PER_FUZZ_CALL
 
 
 def test_fuzz_batches_residual_norms(monkeypatch):
@@ -469,8 +468,11 @@ def test_fuzz_batches_residual_norms(monkeypatch):
     _, summary = run_fuzz((4, 4, 4), count, 1000, SIG12, ro.GENERATOR_KINDS, 1e-8)
     assert summary["inconsistent"] == 0
     # 86.1 norm LAPACK calls per instance while every matrix of every
-    # residual took its own np.linalg.norm; 12.9 with one batch per shape
-    assert len(calls) / count <= 14.0
+    # residual took its own np.linalg.norm, 11.24 with one batch per shape
+    # and pair, and 4.47 with one batch per shape for all the pairs of a
+    # generation round and one for all their block conditions (here three
+    # batches of at most 34 instances each)
+    assert len(calls) / count <= 4.5
 
 
 def test_pair_evaluates_each_residual_once(monkeypatch, rng):
@@ -576,14 +578,15 @@ def test_no_verdict_reads_the_phase_of_a_singular_pair(monkeypatch, sizes, dims)
     expected = [_verdicts(t, s) for t, s in pairs]
 
     rng = np.random.default_rng(19)
-    exact = pinv_module.svd_factor
+    exact = pinv_module._svd_stack
 
-    def rotated(matrix):
-        f = exact(matrix)
-        phase = np.exp(2j * np.pi * rng.random(f.singular_values.size))
-        return pinv_module.SvdFactors(f.U * phase, f.singular_values, f.V * phase)
+    def rotated(stack):
+        # every factorization is one matrix of a stack through _svd_stack
+        u, s, v = exact(stack)
+        phase = np.exp(2j * np.pi * rng.random(s.shape))[:, None, :]
+        return u * phase, s, v * phase
 
-    monkeypatch.setattr(pinv_module, "svd_factor", rotated)
+    monkeypatch.setattr(pinv_module, "_svd_stack", rotated)
     for (t, s), (verdicts, residual) in zip(pairs, expected):
         # fresh copies carry no cached factors
         fresh = [AdjointableOp.from_blocks(op.signature, op.blocks) for op in (t, s)]
@@ -628,3 +631,97 @@ def test_block_conditions_factorizations_per_block(monkeypatch, dims, per_block)
     report = block_conditions(t, s)
     assert len(calls) == per_block * len(t.blocks)
     assert not report.boundary_flag
+
+
+# (signature, dims): s_adjoint is built at (p, m, p), so with k != p a batch
+# holds pairs of two block shapes
+BATCH_CASES = (((1,), (4, 4, 3)), ((1, 2), (4, 4, 3)), ((2, 2, 3), (3, 3, 2)))
+
+
+def _bits(value):
+    """Everything a pair, certificate or report holds, with floats as their bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _pair_bits(pair):
+    return _bits(
+        (
+            pair.t_decision,
+            pair.s_decision,
+            pair.ts_pinv,
+            pair.boundary_flag,
+            pair.floor,
+            pair.residual_rol,
+            pair.thm21,
+            pair.thm22,
+            pair.greville,
+        )
+    )
+
+
+@pytest.mark.parametrize("sizes, dims", BATCH_CASES, ids=("1", "1,2", "2,2,3"))
+def test_a_batch_certifies_each_pair_as_a_batch_of_one(sizes, dims):
+    from cstarpinv.algebra import AlgebraSignature
+
+    signature = AlgebraSignature(sizes)
+    p, m, _ = dims
+    requests = [
+        (kind, (p, m, p) if kind == "s_adjoint" else dims, seed)
+        for seed in range(3)
+        for kind in ro.GENERATOR_KINDS
+    ]
+    batch = ro.generate_instances(requests, signature)
+    alone = [gen_instance(kind, d, signature=signature, seed=seed) for kind, d, seed in requests]
+    assert [_bits([op.blocks for op in pair]) for pair in batch] == [
+        _bits([op.blocks for op in pair]) for pair in alone
+    ]
+    # certified afresh: all pairs in one batch, and each pair alone
+    together = [tuple(map(_fresh, pair)) for pair in batch]
+    separate = [tuple(map(_fresh, pair)) for pair in batch]
+    reports = ro._block_reports(together, 1e-8)
+    for pair, report, (t, s) in zip(ro._pairs(together), reports, separate):
+        assert _pair_bits(pair) == _pair_bits(ro._pair(t, s))
+        assert _bits(report) == _bits(block_conditions(t, s))
+    for (t, s), (t_alone, s_alone) in zip(together, separate):
+        for tol in (1e-8, 1e-3):
+            alone_cert = check_corollary(t_alone, s_alone, tol)
+            assert _bits(check_corollary(t, s, tol)) == _bits(alone_cert)
+
+
+@pytest.mark.parametrize("sizes, dims", BATCH_CASES, ids=("1", "1,2", "2,2,3"))
+def test_fuzz_records_do_not_depend_on_batch_boundaries(monkeypatch, sizes, dims):
+    import cstarpinv.cli as cli
+    from cstarpinv.algebra import AlgebraSignature
+
+    signature = AlgebraSignature(sizes)
+    kinds = ro.GENERATOR_KINDS
+
+    def records(count, seed):
+        results, _ = cli.run_fuzz(dims, count, seed, signature, kinds, 1e-8)
+        return [{k: v for k, v in r.items() if k != "index"} for r, _, _, _ in results]
+
+    whole = records(15, 40)
+    # calls of one kind cycle each, so instance i keeps its kind
+    assert whole == records(5, 40) + records(5, 45) + records(5, 50)
+    # batches of at most two instances (s_adjoint's larger pairs alone)
+    p, m, k = dims
+    size = sum(n * n for n in sizes) * (p * m + m * k + p * k)
+    monkeypatch.setattr(ro, "BATCH_ELEMENTS", 2 * size)
+    certify = ro.certify_batch
+    batches = []
+
+    def counting(requests, signature, tol):
+        batches.append(len(requests))
+        return certify(requests, signature, tol)
+
+    monkeypatch.setattr(cli, "certify_batch", counting)
+    assert records(15, 40) == whole
+    assert sum(batches) == 15 and max(batches) == 2
