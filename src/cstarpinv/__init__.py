@@ -39,8 +39,6 @@ from .operators import (
     flatten,
     off_pattern_mass,
     op_norm,
-    projection_onto_range,
-    range_inclusion,
     unflatten,
 )
 from .pinv import (
@@ -49,6 +47,8 @@ from .pinv import (
     ThetaClassReport,
     moore_penrose,
     pinv_matrix,
+    projection_onto_range,
+    range_inclusion,
     svd_factor,
     theta_class,
 )

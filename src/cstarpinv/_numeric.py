@@ -130,3 +130,8 @@ def check_tolerance(value, name):
     if not 0.0 < number < math.inf:
         raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     return number
+
+
+def is_int_at_least(value, least):
+    """Whether ``value`` is an integer (NumPy's too, a bool not) >= ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance
-from .errors import ConformabilityError
+from ._numeric import block_norm, check_tolerance, is_int_at_least
+from .errors import ConformabilityError, ParameterError
 
 __all__ = [
     "AlgebraSignature",
@@ -28,17 +28,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgebraSignature:
-    """Block sizes of a direct sum of matrix algebras."""
+    """Block sizes of a direct sum of matrix algebras: a nonempty sequence
+    of positive integers, refused with :class:`ParameterError` otherwise."""
 
     block_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.block_sizes)
-        if not sizes:
-            raise ValueError("signature needs at least one block")
-        if any(n < 1 for n in sizes):
-            raise ValueError(f"block sizes must be >= 1, got {sizes}")
-        object.__setattr__(self, "block_sizes", sizes)
+        sizes = tuple(self.block_sizes) if hasattr(self.block_sizes, "__iter__") else ()
+        if not sizes or not all(is_int_at_least(n, 1) for n in sizes):
+            raise ParameterError(
+                "block sizes must be a nonempty sequence of positive integers, "
+                f"got {self.block_sizes!r}"
+            )
+        object.__setattr__(self, "block_sizes", tuple(int(n) for n in sizes))
 
     @property
     def dim(self):

@@ -31,8 +31,7 @@ from .reverse_order import (
     DEFAULT_TOL,
     GENERATOR_KINDS,
     certificate_to_dict,
-    batches,
-    certify_batch,
+    certify_requests,
     check_corollary,
 )
 
@@ -198,8 +197,8 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
     :func:`~cstarpinv.reverse_order.gen_instance` cannot build
     raises its error at the first instance of that kind.  The instances are
     generated and certified in batches (see
-    :func:`~cstarpinv.reverse_order.certify_batch`), and each record is the
-    one its instance gives alone.
+    :func:`~cstarpinv.reverse_order.certify_requests`), and each record is
+    the one its instance gives alone.
     """
     p, m, k = dims
     requests = []
@@ -208,9 +207,10 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
         inst_dims = (p, m, p) if kind == "s_adjoint" else (p, m, k)
         requests.append((kind, inst_dims, seed + index))
 
-    def record_of(index, t_op, s_op, report):
+    results = []
+    for t_op, s_op, cert, report in certify_requests(requests, signature, tol):
+        index = len(results)
         kind, inst_dims, inst_seed = requests[index]
-        cert = check_corollary(t_op, s_op, tol)
         thm21_verdicts = tuple(c.verdict for c in cert.thm21)
         thm22_verdicts = tuple(c.verdict for c in cert.thm22)
         # The block report carries the pair's flag, which is the certificate's.
@@ -238,16 +238,7 @@ def run_fuzz(dims, count, seed, signature, kinds, tol):
         }
         if not inconsistent:
             t_op = s_op = None
-        return record, cert, t_op, s_op
-
-    def records_of(start, batch):
-        certified = certify_batch(batch, signature, tol)
-        return [record_of(start + j, *item) for j, item in enumerate(certified)]
-
-    # A batch's operators are dropped before the next batch is drawn.
-    results = []
-    for batch in batches(requests, signature):
-        results.extend(records_of(len(results), batch))
+        results.append((record, cert, t_op, s_op))
 
     records = [r for r, _, _, _ in results]
     flagged = sum(1 for r in records if r["boundary_flag"])

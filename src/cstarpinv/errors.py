@@ -23,7 +23,8 @@ class DegenerateDecompositionError(CstarPinvError):
 
 class ParameterError(CstarPinvError, ValueError):
     """A parameter is outside its domain: a tolerance that is not a positive
-    finite number, or an unknown generator kind."""
+    finite number, an unknown generator kind, a seed that is not a
+    non-negative integer, or block sizes that are not positive integers."""
 
 
 class FactorizationError(CstarPinvError, ValueError):

@@ -27,6 +27,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._numeric import is_int_at_least
 from .algebra import AlgebraSignature
 from .errors import OperatorFileError, SizeLimitError
 from .operators import AdjointableOp, check_block_size
@@ -93,7 +94,7 @@ def operator_from_dict(data):
     )
     for i, n in enumerate(sig_raw):
         _expect(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+            is_int_at_least(n, 1),
             f"signature[{i}]",
             f"block size must be a positive integer, got {n!r}",
         )
@@ -102,7 +103,7 @@ def operator_from_dict(data):
     rows, cols = data["rows"], data["cols"]
     for name, value in (("rows", rows), ("cols", cols)):
         _expect(
-            isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+            is_int_at_least(value, 1),
             name,
             f"must be a positive integer, got {value!r}",
         )

@@ -31,13 +31,15 @@ pseudoinverse data of the last pair ``(self, S)`` it was the left factor of
 (filled by :mod:`cstarpinv.reverse_order`), so the same matrix is never
 factored twice.  Block matrices are limited to ``MAX_BLOCK_SIDE`` rows and
 columns; :func:`check_block_size` rejects larger ones before allocating.
+Nothing here imports :mod:`cstarpinv.pinv`: the range helpers, which read
+pseudoinverses, live there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance, rel_residual, spec_norm, spec_norms
+from ._numeric import block_norm, check_tolerance, spec_norm, spec_norms
 from .algebra import AlgebraElement, AlgebraSignature, _freeze
 from .errors import ConformabilityError, InvalidDecompositionError, SizeLimitError, StructureError
 from .module_space import ModuleVector
@@ -54,8 +56,6 @@ __all__ = [
     "unflatten",
     "op_norm",
     "off_pattern_mass",
-    "range_inclusion",
-    "projection_onto_range",
 ]
 
 
@@ -274,24 +274,14 @@ class Projection:
 
 
 def apply(t, x):
-    """Apply ``t`` to a module vector: ``(t x)_i = sum_j t_ij x_j``."""
+    """Apply ``t`` to a module vector: ``(t x)_i = sum_j t_ij x_j``, the
+    product of ``t`` with ``x`` as a one-column operator."""
     if t.signature != x.signature:
         raise ConformabilityError("signatures differ")
     if t.cols != len(x):
         raise ConformabilityError(f"operator has {t.cols} columns, vector length {len(x)}")
-    images = [
-        block @ np.vstack([comp.blocks[i] for comp in x.components])
-        for i, block in enumerate(t.blocks)
-    ]
-    sizes = t.signature.block_sizes
-    return ModuleVector(
-        [
-            AlgebraElement(
-                t.signature, [y[r * n : (r + 1) * n] for y, n in zip(images, sizes)]
-            )
-            for r in range(t.rows)
-        ]
-    )
+    column = compose(t, AdjointableOp([[c] for c in x.components]))
+    return ModuleVector([row[0] for row in column.entries])
 
 
 def adjoint_op(t):
@@ -307,6 +297,11 @@ def compose(t, s):
 
 def _check_composable(t, s):
     """Raise :class:`ConformabilityError` unless ``t s`` is defined."""
+    for name, op in (("left", t), ("right", s)):
+        if not isinstance(op, AdjointableOp):
+            raise ConformabilityError(
+                f"the {name} factor must be an AdjointableOp, got {type(op).__name__}"
+            )
     if t.signature != s.signature:
         raise ConformabilityError("signatures differ")
     if t.cols != s.rows:
@@ -374,30 +369,3 @@ def off_pattern_mass(matrix, signature, shape):
     _, off = _unflatten_with_mass(matrix, signature, shape)
     return off
 
-
-def range_inclusion(b, c, tol=1e-8):
-    """Certify ``Ran(b) <= Ran(c)`` numerically.
-
-    Returns ``(verdict, residual)`` with
-    ``residual = ||(I - c c^+) b|| / (1 + ||b||)``.
-    """
-    from .pinv import operator_pinv
-
-    if b.signature != c.signature:
-        raise ConformabilityError("signatures differ")
-    if b.rows != c.rows:
-        raise ConformabilityError("operators must share a codomain")
-    tol = check_tolerance(tol, "tol")
-    c_pinv, _ = operator_pinv(c)
-    projected = [cb @ (cp @ bb) for bb, cb, cp in zip(b.blocks, c.blocks, c_pinv)]
-    residual = rel_residual(b.blocks, projected)
-    return residual <= tol, residual
-
-
-def projection_onto_range(t):
-    """The orthogonal projection ``t t^+`` onto ``Ran(t)`` as an operator."""
-    from .pinv import operator_pinv
-
-    t_pinv, _ = operator_pinv(t)
-    blocks = [m @ x for m, x in zip(t.blocks, t_pinv)]
-    return Projection(AdjointableOp.from_blocks(t.signature, blocks))

@@ -26,7 +26,8 @@ through it as a one-block operator over signature [1] (:func:`pinv_matrix`).
 A pseudoinverse is its blocks and the :class:`RankDecision` they were cut
 at, the pair :func:`operator_pinv` returns; :class:`MatrixPinv` and
 :class:`PinvResult` are the public results built from it, and only
-:func:`moore_penrose` adds the Penrose residuals.
+:func:`moore_penrose` adds the Penrose residuals.  :func:`range_inclusion`
+and :func:`projection_onto_range` read the ranges it projects onto.
 
 Operators are immutable, so each one is factored at most once: the SVDs of
 its blocks are cached on the operator (the arrays are read-only) and reused
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import check_tolerance, rel_residuals
+from ._numeric import check_tolerance, rel_residual, rel_residuals
 from .errors import ConformabilityError, FactorizationError
-from .operators import AdjointableOp
+from .operators import AdjointableOp, Projection
 
 __all__ = [
     "SvdFactors",
@@ -63,6 +64,8 @@ __all__ = [
     "pinv_matrix",
     "operator_pinv",
     "moore_penrose",
+    "range_inclusion",
+    "projection_onto_range",
     "ThetaClassReport",
     "theta_class",
     "penrose_residuals",
@@ -304,6 +307,30 @@ def moore_penrose(t, rank_tol="auto"):
     x = AdjointableOp.from_blocks(t.signature, blocks)
     residuals = penrose_residuals(t.blocks, x.blocks)
     return PinvResult(x, d.rank, d.singular_values, residuals, d.boundary_flag, d.cutoff)
+
+
+def range_inclusion(b, c, tol=1e-8):
+    """Certify ``Ran(b) <= Ran(c)`` numerically.
+
+    Returns ``(verdict, residual)`` with
+    ``residual = ||(I - c c^+) b|| / (1 + ||b||)``.
+    """
+    if b.signature != c.signature:
+        raise ConformabilityError("signatures differ")
+    if b.rows != c.rows:
+        raise ConformabilityError("operators must share a codomain")
+    tol = check_tolerance(tol, "tol")
+    c_pinv, _ = operator_pinv(c)
+    projected = [cb @ (cp @ bb) for bb, cb, cp in zip(b.blocks, c.blocks, c_pinv)]
+    residual = rel_residual(b.blocks, projected)
+    return residual <= tol, residual
+
+
+def projection_onto_range(t):
+    """The orthogonal projection ``t t^+`` onto ``Ran(t)`` as an operator."""
+    t_pinv, _ = operator_pinv(t)
+    blocks = [m @ x for m, x in zip(t.blocks, t_pinv)]
+    return Projection(AdjointableOp.from_blocks(t.signature, blocks))
 
 
 def penrose_residuals(t, x):

@@ -45,7 +45,8 @@ every check of the pair factor ``T``, ``S`` and ``TS`` once between them,
 and a certificate at a second tolerance evaluates no residual.  A fuzz call
 draws its instances round by round, each from its own seeded stream, and
 certifies every candidate of a round in one batch
-(:func:`generate_instances`, :func:`certify_batch`).  The block
+(:func:`generate_instances`); :func:`certify_requests` then reads each
+instance's certificate from the pair generation built.  The block
 conditions make no rank decision or reduction of their own: ``(T1 S1)^+``
 is read from the pair's ``(TS)^+``, ``T1``, ``T2`` and ``D^-1`` from the
 block row of :mod:`cstarpinv.canonical_forms`.  The shared data depend on
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance, inverse, rel_residuals
+from ._numeric import block_norm, check_tolerance, inverse, is_int_at_least, rel_residuals
 from .algebra import AlgebraSignature
 from .canonical_forms import _block_row
 from .errors import (
@@ -72,7 +73,7 @@ from .errors import (
     GenerationError,
     ParameterError,
 )
-from .operators import AdjointableOp, _check_composable, adjoint_op
+from .operators import AdjointableOp, _check_composable, adjoint_op, check_block_size
 from .pinv import (
     EPS,
     factor_operators,
@@ -99,7 +100,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 # Most block-matrix elements of T, S and TS that one batch of
-# :func:`certify_batch` holds; the stacks a batch evaluates are a few
+# :func:`certify_requests` holds; the stacks a batch evaluates are a few
 # dozen times this, so its memory does not grow with the number of
 # instances or the size of their blocks.
 BATCH_ELEMENTS = 1 << 13
@@ -197,11 +198,11 @@ def _pairs(candidates):
     found = {}
     groups = {}
     for t_op, s_op in candidates:
+        _check_composable(t_op, s_op)
         cached = t_op._pair
         if cached is not None and cached[0] is s_op:
             found[id(t_op), id(s_op)] = cached[1]
             continue
-        _check_composable(t_op, s_op)
         key = (t_op.signature, t_op.rows, t_op.cols, s_op.cols)
         groups.setdefault(key, {})[id(t_op), id(s_op)] = (t_op, s_op)
     for group in groups.values():
@@ -524,8 +525,10 @@ def gen_instance(kind, dims, signature=None, seed=0):
     * ``s_adjoint``: ``S = T*`` exactly, so the law holds (requires
       ``k == p``).
 
-    Dims at which a kind cannot be built raise :class:`ConformabilityError`
-    before anything is drawn.  Every candidate is certified at the default
+    Before anything is drawn, dims at which a kind cannot be built raise
+    :class:`ConformabilityError`, dims past the size limit
+    :class:`SizeLimitError`, and a seed other than a non-negative integer
+    :class:`ParameterError`.  Every candidate is certified at the default
     tolerance, and a structured kind accepts it only if the certificate
     shows the kind's verdicts; a rejected candidate is redrawn, up to 100
     times.  The invariants above make rejections rare (an attempt whose
@@ -548,9 +551,9 @@ def generate_instances(requests, signature):
     drawn, and the first request still pending after 100 rounds raises
     :class:`GenerationError`.
     """
-    plans = [_plan(kind, dims) for kind, dims, _ in requests]
     if not isinstance(signature, AlgebraSignature):
         raise ConformabilityError(f"signature must be an AlgebraSignature, got {signature!r}")
+    plans = [_plan(kind, dims, seed, signature) for kind, dims, seed in requests]
     rngs = [np.random.default_rng(seed) for _, _, seed in requests]
     builders = {
         "generic": _build_generic,
@@ -576,16 +579,16 @@ def generate_instances(requests, signature):
     raise GenerationError(f"could not generate a {kind!r} instance for dims {dims}")
 
 
-def _plan(kind, dims):
+def _plan(kind, dims, seed, signature):
     """``(kind, (p, m, k))`` of a request, refused before any draw when the
-    kind cannot be built at ``dims``."""
-    if (
-        len(dims) != 3
-        or any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in dims)
-        or min(dims) < 1
-    ):
+    kind cannot be built at ``dims``, ``T`` or ``S`` exceeds the size limit,
+    or ``seed`` is not a non-negative integer."""
+    sizes = tuple(dims) if hasattr(dims, "__iter__") else ()
+    if len(sizes) != 3 or not all(is_int_at_least(x, 1) for x in sizes):
         raise ConformabilityError(f"dims must be three positive integers p, m, k, got {dims}")
-    p, m, k = (int(x) for x in dims)
+    if not is_int_at_least(seed, 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    p, m, k = (int(x) for x in sizes)
     if kind not in GENERATOR_KINDS:
         raise ParameterError(f"unknown kind {kind!r}; choose from {GENERATOR_KINDS}")
     if kind == "s_adjoint" and k != p:
@@ -594,6 +597,9 @@ def _plan(kind, dims):
         raise ConformabilityError("thm21_only requires m >= 2 and k >= 2")
     if kind == "thm22_only" and min(p, m) < 2:
         raise ConformabilityError("thm22_only requires p >= 2 and m >= 2")
+    # T is p x m and S is m x k; no intermediate operator is wider.
+    check_block_size(signature, p, m)
+    check_block_size(signature, m, k)
     return kind, (p, m, k)
 
 
@@ -613,19 +619,27 @@ def _accepts(kind, cert):
     return True
 
 
-def certify_batch(requests, signature, tol):
-    """Generate every ``(kind, dims, seed)`` request of one batch over
-    ``signature`` (see :func:`generate_instances`), with its block report at
-    ``tol``: one ``(T, S, block_report)`` per request, in order.
+def certify_requests(requests, signature, tol):
+    """Generate every ``(kind, dims, seed)`` request over ``signature`` in
+    :func:`batches`, and yield one ``(T, S, certificate, block_report)`` per
+    request, in order, both at ``tol``.
 
-    Generation leaves every pair's shared data cached, so
-    :func:`check_corollary` evaluates nothing more, and the block reports
-    take their norms together.  Every result is the one its request gives
-    alone, whichever batch it is in; :func:`batches` bounds a batch's size.
+    Each batch is drawn by :func:`generate_instances`, its certificates are
+    read from the pairs generation built, and its block reports take one
+    norm batch.  Every result is the one its request gives alone.  A batch's
+    operators and pairs are dropped before the next batch is drawn.
     """
-    pairs = generate_instances(requests, signature)
-    reports = _block_reports(pairs, tol)
-    return [(t_op, s_op, report) for (t_op, s_op), report in zip(pairs, reports)]
+    tol = check_tolerance(tol, "tol")
+    for batch in batches(requests, signature):
+        drawn = generate_instances(batch, signature)
+        reports = _block_reports(drawn, tol)
+        certified = [
+            (t_op, s_op, _certificate(pair, tol), report)
+            for (t_op, s_op), pair, report in zip(drawn, _pairs(drawn), reports)
+        ]
+        del drawn, reports
+        yield from certified
+        del certified
 
 
 def batches(requests, signature):

@@ -10,7 +10,7 @@ from cstarpinv.algebra import (
     elem_mul,
     elem_norm,
 )
-from cstarpinv.errors import ConformabilityError
+from cstarpinv.errors import ConformabilityError, ParameterError
 
 from conftest import SIG1, SIG2, SIG12, SIGNATURES, dense_embed, random_element
 
@@ -22,6 +22,12 @@ def test_signature_validation():
         AlgebraSignature(())
     with pytest.raises(ValueError):
         AlgebraSignature((0, 2))
+    # block sizes are refused, never coerced: not (1,), (1,), (2,), (1, 2)
+    for sizes in ((1.5,), (True,), ("2",), "12", 3, None):
+        with pytest.raises(ParameterError, match="block sizes must be a nonempty sequence"):
+            AlgebraSignature(sizes)
+    assert AlgebraSignature((np.int64(2), 1)).block_sizes == (2, 1)
+    assert type(AlgebraSignature((np.int64(2),)).block_sizes[0]) is int
 
 
 def test_mul_identity_and_zero():

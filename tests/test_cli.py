@@ -428,16 +428,22 @@ def test_cmd_fuzz_machine_determinism(tmp_path, capsys, monkeypatch):
     assert payload["summary"]["inconsistent"] == 0
 
 
-def _misreporting_check(t, s, tol=1e-8):
-    """A checker that misreports consistency, so the dump path runs."""
-    cert = check_corollary(t, s, tol)
-    if not cert.boundary_flag:
-        cert = dataclasses.replace(cert, consistent=False)
-    return cert
+def _misreport(monkeypatch, picked=lambda cert: True):
+    """Make fuzz see ``consistent=False`` on the unflagged certificates
+    ``picked`` selects, so the dump path runs."""
+    certify = cli.certify_requests
+
+    def misreporting(requests, signature, tol):
+        for t, s, cert, report in certify(requests, signature, tol):
+            if not cert.boundary_flag and picked(cert):
+                cert = dataclasses.replace(cert, consistent=False)
+            yield t, s, cert, report
+
+    monkeypatch.setattr(cli, "certify_requests", misreporting)
 
 
 def test_fuzz_dump_and_replay(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_corollary", _misreporting_check)
+    _misreport(monkeypatch)
     records, summary = cli.run_fuzz(
         (4, 4, 4), 6, 123, AlgebraSignature((1,)), ("generic",), 1e-8
     )
@@ -469,7 +475,7 @@ def test_fuzz_dump_and_replay(tmp_path, capsys, monkeypatch):
 
 
 def test_fuzz_dump_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_corollary", _misreporting_check)
+    _misreport(monkeypatch)
     blocker = tmp_path / "dumps"
     blocker.write_text("")
     argv = ("fuzz", "--count", "6", "--seed", "123", "--kinds", "generic")
@@ -621,13 +627,7 @@ def test_operator_file_rejects_oversized_shape(tmp_path, capsys, monkeypatch):
 
 
 def test_run_fuzz_keeps_operators_of_inconsistent_instances_only(monkeypatch):
-    def broken_check(t, s, tol=1e-8):
-        cert = check_corollary(t, s, tol)
-        if cert.rol_verdict and not cert.boundary_flag:
-            cert = dataclasses.replace(cert, consistent=False)
-        return cert
-
-    monkeypatch.setattr(cli, "check_corollary", broken_check)
+    _misreport(monkeypatch, lambda cert: cert.rol_verdict)
     results, summary = cli.run_fuzz(
         (3, 3, 3), 6, 5, AlgebraSignature((1,)), ("generic", "rol_holds"), 1e-8
     )

@@ -12,8 +12,8 @@ from cstarpinv import (
     theta_class,
 )
 from cstarpinv.errors import ConformabilityError, ParameterError
-from cstarpinv.operators import op_norm, range_inclusion
-from cstarpinv.pinv import orthogonal_complement, penrose_residuals, rank_decision
+from cstarpinv.operators import op_norm
+from cstarpinv.pinv import orthogonal_complement, penrose_residuals, range_inclusion, rank_decision
 
 from conftest import (
     SIG1,

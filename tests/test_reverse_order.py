@@ -23,6 +23,7 @@ from cstarpinv.errors import (
     DegenerateDecompositionError,
     GenerationError,
     ParameterError,
+    SizeLimitError,
 )
 from cstarpinv.operators import op_norm
 
@@ -320,10 +321,25 @@ def test_gen_instance_validation(monkeypatch):
     for a, b in zip(ints, numpy_ints):
         assert a.blocks[0].tobytes() == b.blocks[0].tobytes()
     attempts = _count_attempts(monkeypatch, kinds=("generic",))
-    for dims in ((4.5, 4, 4), (True, 2, 2), ("4", "4", "4")):
+    for dims in ((4.5, 4, 4), (True, 2, 2), ("4", "4", "4"), None, 5):
         with pytest.raises(ConformabilityError, match="dims must be three positive integers"):
             gen_instance("generic", dims, seed=0)
     assert attempts == []
+    # seeds are non-negative integers, a NumPy integer among them: None
+    # would draw from OS entropy and True would draw seed 1, so neither
+    # reproduces its pair
+    numpy_seed = gen_instance("generic", (3, 3, 3), seed=np.uint8(0))
+    for a, b in zip(ints, numpy_seed):
+        assert a.blocks[0].tobytes() == b.blocks[0].tobytes()
+    # refused before any draw: a builder that fails at once stands in for
+    # one that would allocate terabytes for a 10**6 x 1 operator
+    monkeypatch.setattr(ro, "_build_generic", lambda *args: pytest.fail("drew a refused request"))
+    for seed in (None, True, -1, 1.5, "a"):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            gen_instance("generic", (3, 3, 3), seed=seed)
+    for dims, signature in (((10**6, 1, 1), SIG1), ((1, 2, 1025), SIG2)):
+        with pytest.raises(SizeLimitError, match="at most 2048"):
+            gen_instance("generic", dims, signature=signature, seed=0)
 
 
 def _count_attempts(monkeypatch, kinds=("thm21_only",)):
@@ -384,6 +400,15 @@ def test_gen_instance_retry_exhaustion(monkeypatch):
     monkeypatch.setitem(gen_instance.__globals__, "_accepts", lambda kind, cert: False)
     with pytest.raises(GenerationError):
         gen_instance("generic", (3, 3, 3), seed=0)
+
+
+def test_pair_entry_points_refuse_non_operators():
+    # a non-operator T used to reach the pair cache's lookup first
+    t = op1(FAILS_T)
+    for check in (compose, check_thm21, check_thm22, check_corollary, block_conditions):
+        for args, side in (((np.eye(2), t), "left"), ((t, np.eye(2)), "right")):
+            with pytest.raises(ConformabilityError, match=f"the {side} factor must be an Adj"):
+                check(*args)
 
 
 def test_certificate_shape():
@@ -715,13 +740,13 @@ def test_fuzz_records_do_not_depend_on_batch_boundaries(monkeypatch, sizes, dims
     p, m, k = dims
     size = sum(n * n for n in sizes) * (p * m + m * k + p * k)
     monkeypatch.setattr(ro, "BATCH_ELEMENTS", 2 * size)
-    certify = ro.certify_batch
+    generate = ro.generate_instances
     batches = []
 
-    def counting(requests, signature, tol):
+    def counting(requests, signature):
         batches.append(len(requests))
-        return certify(requests, signature, tol)
+        return generate(requests, signature)
 
-    monkeypatch.setattr(cli, "certify_batch", counting)
+    monkeypatch.setattr(ro, "generate_instances", counting)
     assert records(15, 40) == whole
     assert sum(batches) == 15 and max(batches) == 2
