@@ -65,7 +65,14 @@ def spec_norm(m):
 
 def block_norm(blocks):
     """Spectral norm of a block-diagonal matrix: the largest over its blocks."""
-    return max(spec_norms(blocks))
+    return block_norms([blocks])[0]
+
+
+def block_norms(block_lists):
+    """:func:`block_norm` of each sequence of blocks in the list
+    ``block_lists``, all in one :func:`spec_norms` batch."""
+    norms = iter(spec_norms([b for blocks in block_lists for b in blocks]))
+    return [max(next(norms) for _ in blocks) for blocks in block_lists]
 
 
 def rel_residuals(identities):

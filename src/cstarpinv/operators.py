@@ -84,7 +84,9 @@ class AdjointableOp:
 
     ``AdjointableOp(entries)`` takes a ``rows x cols`` grid of
     :class:`AlgebraElement` objects; :meth:`from_blocks` takes the per-block
-    matrices directly.  ``_svd`` and ``_pair`` are lazily filled caches (see
+    matrices directly.  Both copy and check their input; the blocks the
+    package computes itself are wrapped as they are (:meth:`_wrap`).
+    ``_svd`` and ``_pair`` are lazily filled caches (see
     the module docstring).  Neither changes what the operator is: ``_svd`` is
     set once, and ``_pair`` is replaced when ``self`` is paired with another
     ``S``.
@@ -110,12 +112,17 @@ class AdjointableOp:
                     f"block of shape {b.shape} does not fit a {rows}x{cols} operator "
                     f"over block size {n}"
                 )
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_svd", None)
-        object.__setattr__(self, "_pair", None)
+        self._set(signature, rows, cols, blocks)
+
+    def _set(self, signature, rows, cols, blocks):
+        """Fill the slots of a new operator, with empty caches."""
+        set_slot = object.__setattr__
+        set_slot(self, "signature", signature)
+        set_slot(self, "rows", rows)
+        set_slot(self, "cols", cols)
+        set_slot(self, "blocks", blocks)
+        set_slot(self, "_svd", None)
+        set_slot(self, "_pair", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdjointableOp is immutable")
@@ -124,6 +131,19 @@ class AdjointableOp:
     def from_blocks(cls, signature, blocks):
         """The operator whose block ``i`` is ``blocks[i]`` (copied and frozen)."""
         return cls(signature=signature, blocks=blocks)
+
+    @classmethod
+    def _wrap(cls, signature, blocks):
+        """The operator on blocks the package has just computed: complex
+        arrays of fitting shapes that nothing else writes.  They are made
+        read-only in place, neither copied nor checked."""
+        blocks = tuple(blocks)
+        for b in blocks:
+            b.flags.writeable = False
+        n = signature.block_sizes[0]
+        op = cls.__new__(cls)
+        op._set(signature, blocks[0].shape[0] // n, blocks[0].shape[1] // n, blocks)
+        return op
 
     @property
     def flat_shape(self):
@@ -157,20 +177,18 @@ class AdjointableOp:
 
     def __add__(self, other):
         _check_same_shape(self, other)
-        return AdjointableOp.from_blocks(
+        return AdjointableOp._wrap(
             self.signature, [a + b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __sub__(self, other):
         _check_same_shape(self, other)
-        return AdjointableOp.from_blocks(
+        return AdjointableOp._wrap(
             self.signature, [a - b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def scale(self, scalar):
-        return AdjointableOp.from_blocks(
-            self.signature, [complex(scalar) * b for b in self.blocks]
-        )
+        return AdjointableOp._wrap(self.signature, [complex(scalar) * b for b in self.blocks])
 
     def adjoint(self):
         return adjoint_op(self)
@@ -276,6 +294,9 @@ class Projection:
 def apply(t, x):
     """Apply ``t`` to a module vector: ``(t x)_i = sum_j t_ij x_j``, the
     product of ``t`` with ``x`` as a one-column operator."""
+    _check_operator(t, "t")
+    if not isinstance(x, ModuleVector):
+        raise ConformabilityError(f"x must be a ModuleVector, got {type(x).__name__}")
     if t.signature != x.signature:
         raise ConformabilityError("signatures differ")
     if t.cols != len(x):
@@ -286,28 +307,32 @@ def apply(t, x):
 
 def adjoint_op(t):
     """The adjoint: transposed entries, each conjugate-transposed."""
-    return AdjointableOp.from_blocks(t.signature, [b.conj().T for b in t.blocks])
+    return AdjointableOp._wrap(t.signature, [b.conj().T for b in t.blocks])
 
 
 def compose(t, s):
     """Operator product ``t s`` (apply ``s`` first)."""
     _check_composable(t, s)
-    return AdjointableOp.from_blocks(t.signature, [a @ b for a, b in zip(t.blocks, s.blocks)])
+    return AdjointableOp._wrap(t.signature, [a @ b for a, b in zip(t.blocks, s.blocks)])
 
 
 def _check_composable(t, s):
     """Raise :class:`ConformabilityError` unless ``t s`` is defined."""
-    for name, op in (("left", t), ("right", s)):
-        if not isinstance(op, AdjointableOp):
-            raise ConformabilityError(
-                f"the {name} factor must be an AdjointableOp, got {type(op).__name__}"
-            )
+    _check_operator(t, "the left factor")
+    _check_operator(s, "the right factor")
     if t.signature != s.signature:
         raise ConformabilityError("signatures differ")
     if t.cols != s.rows:
         raise ConformabilityError(
             f"inner dimensions differ: {t.rows}x{t.cols} times {s.rows}x{s.cols}"
         )
+
+
+def _check_operator(value, name):
+    """Raise :class:`ConformabilityError` naming ``name`` unless ``value``
+    is an :class:`AdjointableOp`."""
+    if not isinstance(value, AdjointableOp):
+        raise ConformabilityError(f"{name} must be an AdjointableOp, got {type(value).__name__}")
 
 
 def flatten(t):
@@ -361,6 +386,7 @@ def _unflatten_with_mass(matrix, signature, shape):
 
 def op_norm(t):
     """Operator norm: the largest spectral norm over blocks."""
+    _check_operator(t, "t")
     return block_norm(t.blocks)
 
 

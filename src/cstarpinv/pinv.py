@@ -48,7 +48,7 @@ import numpy as np
 
 from ._numeric import check_tolerance, rel_residual, rel_residuals
 from .errors import ConformabilityError, FactorizationError
-from .operators import AdjointableOp, Projection
+from .operators import AdjointableOp, Projection, _check_operator
 
 __all__ = [
     "SvdFactors",
@@ -315,6 +315,8 @@ def range_inclusion(b, c, tol=1e-8):
     Returns ``(verdict, residual)`` with
     ``residual = ||(I - c c^+) b|| / (1 + ||b||)``.
     """
+    _check_operator(b, "b")
+    _check_operator(c, "c")
     if b.signature != c.signature:
         raise ConformabilityError("signatures differ")
     if b.rows != c.rows:
@@ -328,6 +330,7 @@ def range_inclusion(b, c, tol=1e-8):
 
 def projection_onto_range(t):
     """The orthogonal projection ``t t^+`` onto ``Ran(t)`` as an operator."""
+    _check_operator(t, "t")
     t_pinv, _ = operator_pinv(t)
     blocks = [m @ x for m, x in zip(t.blocks, t_pinv)]
     return Projection(AdjointableOp.from_blocks(t.signature, blocks))
@@ -372,6 +375,8 @@ def theta_class(t, x, tol=1e-8):
     at most ``tol``; the unique {1,2,3,4}-inverse is the Moore-Penrose
     inverse.
     """
+    _check_operator(t, "t")
+    _check_operator(x, "x")
     tol = check_tolerance(tol, "tol")
     if t.signature != x.signature:
         raise ConformabilityError("signatures differ")

@@ -46,7 +46,11 @@ and a certificate at a second tolerance evaluates no residual.  A fuzz call
 draws its instances round by round, each from its own seeded stream, and
 certifies every candidate of a round in one batch
 (:func:`generate_instances`); :func:`certify_requests` then reads each
-instance's certificate from the pair generation built.  The block
+instance's certificate from the pair generation built.  The candidates of
+a round are built in lockstep (see :func:`_build`): each builder is a
+generator that stops wherever it needs norms or factors, and each such step
+of every pending instance takes one norm batch and one stacked SVD per
+block shape, so no builder makes a LAPACK call of its own.  The block
 conditions make no rank decision or reduction of their own: ``(T1 S1)^+``
 is read from the pair's ``(TS)^+``, ``T1``, ``T2`` and ``D^-1`` from the
 block row of :mod:`cstarpinv.canonical_forms`.  The shared data depend on
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import block_norm, check_tolerance, inverse, is_int_at_least, rel_residuals
+from ._numeric import block_norms, check_tolerance, inverse, is_int_at_least, rel_residuals
 from .algebra import AlgebraSignature
 from .canonical_forms import _block_row
 from .errors import (
@@ -83,7 +87,7 @@ from .pinv import (
     orthogonal_complement,
     penrose_identities,
 )
-from .sampling import random_operator, random_operator_with_rank
+from .sampling import _rank_product, _unit_scaled, random_operator
 
 __all__ = [
     "ConditionCheck",
@@ -233,7 +237,7 @@ def _build_pairs(group):
     t, s = _stack_blocks(t_ops), _stack_blocks(s_ops)
     ts = [a @ b for a, b in zip(t, s)]
     ts_ops = [
-        AdjointableOp.from_blocks(signature, [_instance(b, j, n) for b in ts]) for j in range(n)
+        AdjointableOp._wrap(signature, [_instance(b, j, n) for b in ts]) for j in range(n)
     ]
     factor_operators([*t_ops, *s_ops, *ts_ops])
     (tp, t_decisions), (sp, s_decisions), (tsp, ts_decisions) = (
@@ -544,11 +548,13 @@ def generate_instances(requests, signature):
     ``signature``, as :func:`gen_instance` draws it.
 
     Every request draws from its own ``default_rng(seed)`` stream, so each
-    pair is the one :func:`gen_instance` returns alone.  Each round draws
-    the next candidate of every pending request, certifies all of them in
-    one batch (see :func:`_pairs`), and leaves only the rejected ones
-    pending.  A request that cannot be built raises before anything is
-    drawn, and the first request still pending after 100 rounds raises
+    pair is the one :func:`gen_instance` returns alone.  Each round builds
+    the next candidate of every pending request in lockstep, each builder
+    step of all of them with one norm batch and one stacked SVD per block
+    shape (see :func:`_build`), certifies all the candidates in one batch
+    (see :func:`_pairs`), and leaves only the rejected ones pending.  A
+    request that cannot be built raises before anything is drawn, and the
+    first request still pending after 100 rounds raises
     :class:`GenerationError`.
     """
     if not isinstance(signature, AlgebraSignature):
@@ -565,7 +571,9 @@ def generate_instances(requests, signature):
     drawn = [None] * len(requests)
     pending = range(len(requests))
     for _ in range(_MAX_RETRIES):
-        candidates = [builders[plans[i][0]](signature, *plans[i][1], rngs[i]) for i in pending]
+        candidates = _build(
+            [builders[plans[i][0]](signature, *plans[i][1], rngs[i]) for i in pending]
+        )
         rejected = []
         for i, candidate, pair in zip(pending, candidates, _pairs(candidates)):
             if _accepts(plans[i][0], _certificate(pair, DEFAULT_TOL)):
@@ -665,14 +673,62 @@ def _draw_rank(upper, rng):
     return int(rng.integers(1, upper + 1))
 
 
+def _build(builders):
+    """Run builders in lockstep and return the pair each one builds.
+
+    A builder is a generator that draws from its own stream and, wherever it
+    needs numbers from LAPACK, yields ``(ops to normalize, ops to factor)``
+    and is sent the norms of the first.  Each step answers every builder
+    still running: the norms of all the operators to normalize in one
+    :func:`~cstarpinv._numeric.block_norms` batch, and the SVDs of all the
+    operators to factor in one :func:`~cstarpinv.pinv.factor_operators`
+    call, cached on them.  Stacked norms and factorizations give each matrix
+    the bits it gets alone, so a builder builds the pair it builds alone.
+    """
+    built = [None] * len(builders)
+    replies = dict.fromkeys(range(len(builders)))
+    while True:
+        steps = {}
+        for i, norms in replies.items():
+            try:
+                steps[i] = builders[i].send(norms)
+            except StopIteration as done:
+                built[i] = done.value
+        if not steps:
+            return built
+        norms = iter(block_norms([op.blocks for ops, _ in steps.values() for op in ops]))
+        factor_operators([op for _, ops in steps.values() for op in ops])
+        replies = {i: [next(norms) for _ in ops] for i, (ops, _) in steps.items()}
+
+
+def _unit_norm(ops):
+    """Builder step: ``ops`` scaled to norm 1, as
+    :func:`~cstarpinv.sampling.random_operator_with_rank` scales its draw."""
+    norms = yield ops, ()
+    return [_unit_scaled(op, norm) for op, norm in zip(ops, norms)]
+
+
+def _finished(ops):
+    """Builder steps: each constructed operator of ``ops`` divided by its
+    norm, factored and snapped (see :func:`_snap`)."""
+    norms = yield ops, ()
+    ops = [
+        AdjointableOp._wrap(op.signature, [b / norm for b in op.blocks]) if norm > 0 else op
+        for op, norm in zip(ops, norms)
+    ]
+    yield (), ops
+    return [_snap(op) for op in ops]
+
+
 def _build_generic(sig, p, m, k, rng):
-    t = random_operator_with_rank(sig, p, m, _draw_rank(min(p, m), rng), rng)
-    s = random_operator_with_rank(sig, m, k, _draw_rank(min(m, k), rng), rng)
+    t = _rank_product(sig, p, m, _draw_rank(min(p, m), rng), rng)
+    s = _rank_product(sig, m, k, _draw_rank(min(m, k), rng), rng)
+    t, s = yield from _unit_norm([t, s])
     return t, s
 
 
 def _build_s_adjoint(sig, p, m, k, rng):
-    t = random_operator_with_rank(sig, p, m, _draw_rank(min(p, m), rng), rng)
+    (t,) = yield from _unit_norm([_rank_product(sig, p, m, _draw_rank(min(p, m), rng), rng)])
     return t, adjoint_op(t)
 
 
@@ -694,7 +750,7 @@ def _snap(op):
 def _rebuild(op, ranks, block_fn):
     """The operator whose block ``i`` is ``block_fn(U, s, V)`` on the
     factors of ``op``'s block ``i`` cut at ``ranks[i]``."""
-    return AdjointableOp.from_blocks(
+    return AdjointableOp._wrap(
         op.signature,
         [
             block_fn(f.U[:, :r], f.singular_values[:r], f.V[:, :r])
@@ -703,24 +759,17 @@ def _rebuild(op, ranks, block_fn):
     )
 
 
-def _finish_op(op):
-    """Normalize and snap a constructed operator."""
-    norm = block_norm(op.blocks)
-    if norm > 0:
-        op = AdjointableOp.from_blocks(op.signature, [b / norm for b in op.blocks])
-    return _snap(op)
-
-
 def _range_projector(op):
-    """The orthogonal projector onto the range of ``op``."""
+    """The orthogonal projector onto the range of ``op``, from its factors."""
     return _rebuild(op, operator_ranks(op).ranks, lambda u, *_: u @ u.conj().T)
 
 
 def _build_rol_holds(sig, p, m, k, rng):
     r = _draw_rank(min(p, m, k), rng)
     w = random_operator(sig, m, r, rng)
-    s = _finish_op(w @ random_operator(sig, r, k, rng))
-    t = _finish_op(adjoint_op(w @ random_operator(sig, r, p, rng)))
+    s = w @ random_operator(sig, r, k, rng)
+    t = adjoint_op(w @ random_operator(sig, r, p, rng))
+    s, t = yield from _finished([s, t])
     return t, s
 
 
@@ -736,22 +785,26 @@ def _build_thm21_only(sig, p, m, k, rng):
     pairs = [(rs, r1) for rs in s_ranks for r1 in range(1, min(rs - 1, max(1, p - 1)) + 1)]
     rs, r1 = pairs[int(rng.integers(len(pairs)))]
     w = random_operator(sig, m, rs, rng)
-    s = _finish_op(w @ random_operator(sig, rs, k, rng))
-    # Ran(S) = Ran(W), so S's own (cached) factors give the projector.
+    (s,) = yield from _finished([w @ random_operator(sig, rs, k, rng)])
+    x = random_operator(sig, p, r1, rng)
+    # a snapped S lost its factors
+    yield (), (s, x)
+    # Ran(S) = Ran(W), so S's own factors give the projector.
     p_w = _range_projector(s)
     q_w = AdjointableOp.identity(sig, m) - p_w
 
-    p1 = _range_projector(random_operator(sig, p, r1, rng))
+    p1 = _range_projector(x)
     q1 = AdjointableOp.identity(sig, p) - p1
-    t = _finish_op(
-        p1 @ random_operator(sig, p, m, rng) @ p_w + q1 @ random_operator(sig, p, m, rng) @ q_w
+    (t,) = yield from _finished(
+        [p1 @ random_operator(sig, p, m, rng) @ p_w + q1 @ random_operator(sig, p, m, rng) @ q_w]
     )
     return t, s
 
 
 def _build_thm22_only(sig, p, m, k, rng):
     rs = _draw_rank(min(m - 1, k), rng)
-    s0 = random_operator_with_rank(sig, m, k, rs, rng)
+    (s0,) = yield from _unit_norm([_rank_product(sig, m, k, rs, rng)])
+    yield (), (s0,)
     # Polar isometry of S0, block by block; its reduced block S1 is unitary,
     # which trivializes the commutator condition.
     s = _rebuild(s0, operator_ranks(s0).ranks, lambda u, _, v: u @ v.conj().T)
@@ -761,8 +814,10 @@ def _build_thm22_only(sig, p, m, k, rng):
     v1 = s @ random_operator(sig, k, a, rng)
     q_w = AdjointableOp.identity(sig, m) - s @ adjoint_op(s)
     v2 = q_w @ random_operator(sig, m, b, rng)
-    t = _finish_op(
-        random_operator(sig, p, a, rng) @ adjoint_op(v1)
-        + random_operator(sig, p, b, rng) @ adjoint_op(v2)
+    (t,) = yield from _finished(
+        [
+            random_operator(sig, p, a, rng) @ adjoint_op(v1)
+            + random_operator(sig, p, b, rng) @ adjoint_op(v2)
+        ]
     )
     return t, s

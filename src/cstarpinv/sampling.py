@@ -41,17 +41,28 @@ def random_operator(signature, rows, cols, rng):
         entries = (parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2.0)
         blocks.append(entries.transpose(0, 2, 1, 3).reshape(rows * n, cols * n))
         pos += 2 * n * n
-    return AdjointableOp.from_blocks(signature, blocks)
+    return AdjointableOp._wrap(signature, blocks)
 
 
 def random_operator_with_rank(signature, rows, cols, rank, rng):
     """Random operator factored through ``A^rank`` (module rank ``rank``),
     scaled to norm 1."""
+    op = _rank_product(signature, rows, cols, rank, rng)
+    return _unit_scaled(op, block_norm(op.blocks))
+
+
+def _rank_product(signature, rows, cols, rank, rng):
+    """The draw of :func:`random_operator_with_rank`, before it is scaled:
+    the product of a random ``rows x rank`` and ``rank x cols`` operator."""
     if rank < 1 or rank > min(rows, cols):
         raise ValueError(f"rank {rank} infeasible for {rows}x{cols}")
-    op = compose(
+    return compose(
         random_operator(signature, rows, rank, rng),
         random_operator(signature, rank, cols, rng),
     )
-    norm = block_norm(op.blocks)
+
+
+def _unit_scaled(op, norm):
+    """``op``, of norm ``norm``, scaled to norm 1 as
+    :func:`random_operator_with_rank` scales it; a zero ``op`` as it is."""
     return op.scale(1.0 / norm) if norm > 0 else op

@@ -263,6 +263,36 @@ def test_operator_immutable(rng):
         flatten(t)[0, 0] = 1.0
 
 
+def test_computed_operators_wrap_their_blocks(rng):
+    t = random_operator(SIG12, 2, 3, rng)
+    s = random_operator(SIG12, 3, 2, rng)
+    computed = (
+        t,
+        t @ s,
+        adjoint_op(t),
+        t + t,
+        t - t,
+        t.scale(2j),
+        random_operator_with_rank(SIG12, 2, 3, 1, rng),
+    )
+    for op in computed:
+        copied = AdjointableOp.from_blocks(op.signature, op.blocks)
+        for block, copy in zip(op.blocks, copied.blocks):
+            assert not block.flags.writeable
+            # the memory layout the copy would give, so no later product
+            # reads its operands in another order
+            assert (block.flags.c_contiguous, block.flags.f_contiguous) == (
+                copy.flags.c_contiguous,
+                copy.flags.f_contiguous,
+            )
+            assert block.dtype == complex and block.tobytes() == copy.tobytes()
+    # blocks from outside the package are copied
+    block = np.eye(2, dtype=complex)
+    op = AdjointableOp.from_blocks(SIG1, [block])
+    block[0, 0] = 5.0
+    assert op.blocks[0][0, 0] == 1.0 and not np.shares_memory(op.blocks[0], block)
+
+
 # The flattening map the package used before its one strided view: one index
 # array per copy q of kron(I_n, T_i), element r*n + a of copy q at flattened
 # row r*d + offset_i + q*n + a (the same map for the columns), read and

@@ -16,6 +16,7 @@ from cstarpinv import (
     elem_adjoint,
     elem_mul,
     op_norm,
+    projection_onto_range,
     range_inclusion,
     svd_factor,
     theta_class,
@@ -24,7 +25,7 @@ from cstarpinv.algebra import elem_scale
 from cstarpinv.errors import ConformabilityError, InvalidDecompositionError
 from cstarpinv.sampling import random_operator_with_rank
 
-from conftest import SIG1, SIG2, SIG12
+from conftest import SIG1, SIG2, SIG12, count_norm_batches, count_svd_factor
 
 
 def _op(signature, rows, cols):
@@ -168,6 +169,29 @@ def test_refusals(case):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+# (call on the argument, message): each library call given an array where
+# it takes an operator or a module vector
+ARRAY_ARGUMENTS = {
+    "apply t": (lambda a: apply(a, _vector(SIG1, 2)), "t must be an AdjointableOp"),
+    "apply x": (lambda a: apply(_op(SIG1, 2, 2), a), "x must be a ModuleVector"),
+    "range_inclusion b": (lambda a: range_inclusion(a, _op(SIG1, 2, 2)), "b must be an Adj"),
+    "range_inclusion c": (lambda a: range_inclusion(_op(SIG1, 2, 2), a), "c must be an Adj"),
+    "projection_onto_range t": (projection_onto_range, "t must be an AdjointableOp"),
+    "theta_class t": (lambda a: theta_class(a, _op(SIG1, 2, 2)), "t must be an AdjointableOp"),
+    "theta_class x": (lambda a: theta_class(_op(SIG1, 2, 2), a), "x must be an AdjointableOp"),
+    "op_norm t": (op_norm, "t must be an AdjointableOp"),
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_ARGUMENTS.values(), ids=ARRAY_ARGUMENTS.keys())
+def test_arrays_are_refused_before_any_work(monkeypatch, case):
+    call, message = case
+    factored, norms = count_svd_factor(monkeypatch), count_norm_batches(monkeypatch)
+    with pytest.raises(ConformabilityError, match=f"^{message}.*, got ndarray$"):
+        call(np.eye(2))
+    assert factored == [] and norms == []
 
 
 def test_conveniences_are_their_functions(rng):

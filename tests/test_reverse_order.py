@@ -32,6 +32,7 @@ from conftest import (
     SIG2,
     SIG12,
     assert_penrose,
+    count_norm_batches,
     count_svd_factor,
     random_operator,
     random_operator_with_rank,
@@ -448,10 +449,11 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 # LAPACK SVD calls (stacks) of run_fuzz((4, 4, 4), 100, 1000, [1], all kinds),
-# against 436 single-matrix calls while every pair was certified alone: the
-# pairs of a generation round share one call per block shape, and only the
-# builders' own factorizations remain one call per operator
-LAPACK_CALLS_PER_FUZZ_CALL = 165
+# against 436 single-matrix calls while every pair was certified alone, and
+# 165 while the pairs of a generation round shared one call per block shape
+# but the builders factored one operator per call: each builder step of a
+# round now shares one call per block shape too
+LAPACK_CALLS_PER_FUZZ_CALL = 20
 
 
 def test_fuzz_factors_each_matrix_once(monkeypatch):
@@ -490,14 +492,48 @@ def test_fuzz_batches_residual_norms(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     count = 100
-    _, summary = run_fuzz((4, 4, 4), count, 1000, SIG12, ro.GENERATOR_KINDS, 1e-8)
-    assert summary["inconsistent"] == 0
-    # 86.1 norm LAPACK calls per instance while every matrix of every
-    # residual took its own np.linalg.norm, 11.24 with one batch per shape
-    # and pair, and 4.47 with one batch per shape for all the pairs of a
+    # over [1,2], 86.1 norm LAPACK calls per instance while every matrix of
+    # every residual took its own np.linalg.norm, 11.24 with one batch per
+    # shape and pair, 4.47 with one batch per shape for all the pairs of a
     # generation round and one for all their block conditions (here three
-    # batches of at most 34 instances each)
-    assert len(calls) / count <= 4.5
+    # batches of at most 34 instances each), and 1.05 now that each builder
+    # step of a round takes one batch for all its operators; over [1], 2.09
+    # and then 0.27
+    for sig, most in ((SIG12, 1.05), (SIG1, 0.27)):
+        calls.clear()
+        _, summary = run_fuzz((4, 4, 4), count, 1000, sig, ro.GENERATOR_KINDS, 1e-8)
+        assert summary["inconsistent"] == 0
+        assert len(calls) / count <= most
+
+
+@pytest.mark.parametrize("kind", ro.GENERATOR_KINDS)
+def test_builder_lapack_calls_do_not_grow_with_the_round(monkeypatch, kind):
+    # one round: every candidate is accepted
+    monkeypatch.setitem(gen_instance.__globals__, "_accepts", lambda kind, cert: True)
+    stacks, norms = count_svd_factor(monkeypatch), count_norm_batches(monkeypatch)
+    pairs = ro._pairs
+
+    def uncounted(candidates):
+        counts = len(stacks.stacks), len(norms)
+        built = pairs(candidates)
+        del stacks.stacks[counts[0] :], norms[counts[1] :]
+        return built
+
+    # the round's calls, less those certifying its candidates
+    monkeypatch.setattr(ro, "_pairs", uncounted)
+
+    def calls(count):
+        del stacks.stacks[:], norms[:]
+        ro.generate_instances([(kind, (2, 3, 2), seed) for seed in range(count)], SIG12)
+        return len(stacks.stacks), len(norms)
+
+    # at (2, 3, 2) every kind factors the same block shapes on every draw
+    # (thm21_only's S has full rank 2 and P1 rank 1), so the LAPACK calls of
+    # one request are those of any number of them
+    one = calls(1)
+    assert calls(20) == one
+    # every kind takes norms, and the kinds that snap or project factor
+    assert one[1] >= 1 and (one[0] >= 1) == (kind not in ("generic", "s_adjoint"))
 
 
 def test_pair_evaluates_each_residual_once(monkeypatch, rng):
